@@ -1,9 +1,8 @@
-"""Cluster assembly: nodes, scenarios, scaling patterns, sweeps."""
+"""Cluster assembly: nodes, scenarios, scaling patterns."""
 
 from .node import InitiatorNode, PROTOCOL_OPF, PROTOCOL_SPDK, PROTOCOLS, TargetNode
 from .scaling import ScalePoint, build_scaleout, pattern1, pattern2, tenants_for_node
 from .scenario import Scenario, ScenarioConfig, ScenarioResult
-from .sweep import compare_protocols, sweep
 
 __all__ = [
     "InitiatorNode",
@@ -16,9 +15,7 @@ __all__ = [
     "ScenarioResult",
     "TargetNode",
     "build_scaleout",
-    "compare_protocols",
     "pattern1",
     "pattern2",
-    "sweep",
     "tenants_for_node",
 ]

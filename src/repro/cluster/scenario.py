@@ -485,13 +485,10 @@ class Scenario:
         self.initiators_by_name: Dict[str, object] = {}
         #: Sharded-execution overrides (see ``repro.parallel.shards``):
         #: explicit tenant ids / TCP connection ids keyed by tenant name so a
-        #: shard replays the serial run's global assignment order, and an
-        #: optional connector that builds only the initiator-side socket
-        #: (the target end lives in another shard).  Empty/None = the serial
-        #: defaults; behaviour is bit-identical.
+        #: shard replays the serial run's global assignment order.  Empty =
+        #: the serial defaults; behaviour is bit-identical.
         self._tenant_ids: Dict[str, int] = {}
         self._conn_id_overrides: Dict[str, int] = {}
-        self._tenant_connector: Optional[Callable] = None
         #: Injector constructor override (sharded runs substitute a subclass
         #: that replays the full schedule chain but applies only shard-local
         #: faults).  None = the plain Injector.
@@ -700,7 +697,6 @@ class Scenario:
                 queue_depth=spec.queue_depth,
                 tenant_id=self._tenant_ids.get(spec.name),
                 conn_id=self._conn_id_overrides.get(spec.name),
-                connector=self._tenant_connector,
                 costs=cfg.effective_costs(),
                 collector=self.collector,
                 window_size=cfg.window_size,

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.scenario import Scenario, ScenarioConfig
-from ..core.window import select_window
 from ..metrics.report import format_table, improvement_pct, reduction_pct
-from ..workloads.mixes import PAPER_RATIOS, tenants_for_ratio
+from ..parallel.pool import run_units
+from ..parallel.sweeps import fig7_units
+from ..workloads.mixes import PAPER_RATIOS
 from .calibration import NETWORK_SPEEDS
 
 _MIX_NAMES = {"read": "read", "rw50": "mixed 50:50", "write": "write"}
@@ -37,40 +37,33 @@ def run_fig7(
     total_ops: int = 600,
     seed: int = 1,
     auto_window: bool = True,
+    workers: int = 0,
     print_table: bool = False,
 ) -> List[Fig7Point]:
-    """Run the Figure 7 grid; returns one point per cell per protocol."""
-    points: List[Fig7Point] = []
-    for op_mix in mixes:
-        for gbps in speeds:
-            for ratio in ratios:
-                n_tc = int(ratio.split(":")[1])
-                window = (
-                    select_window(
-                        "mixed" if op_mix == "rw50" else op_mix,
-                        gbps,
-                        tc_initiators=max(1, n_tc),
-                    )
-                    if auto_window
-                    else 32
-                )
-                for protocol in ("spdk", "nvme-opf"):
-                    cfg = ScenarioConfig(
-                        protocol=protocol,
-                        network_gbps=gbps,
-                        op_mix=op_mix,
-                        total_ops=total_ops,
-                        window_size=window,
-                        seed=seed,
-                    )
-                    sc = Scenario.two_sided(cfg, tenants_for_ratio(ratio, op_mix=op_mix))
-                    res = sc.run()
-                    points.append(
-                        Fig7Point(
-                            ratio, gbps, op_mix, protocol,
-                            res.tc_throughput_mbps, res.ls_tail_us,
-                        )
-                    )
+    """Run the Figure 7 grid; returns one point per cell per protocol.
+
+    The grid is :func:`~repro.parallel.sweeps.fig7_units`; ``workers=0``
+    runs it in-process, ``workers>=1`` on that many worker processes, with
+    bit-identical points either way.
+    """
+    units = fig7_units(
+        ratios=ratios,
+        speeds=speeds,
+        mixes=mixes,
+        total_ops=total_ops,
+        seed=seed,
+        auto_window=auto_window,
+    )
+    campaign = run_units(units, workers=workers)
+    campaign.raise_on_failure()
+    points = [
+        Fig7Point(
+            **unit.payload["meta"],
+            tc_throughput_mbps=result.data["tc_throughput_mbps"],
+            ls_tail_us=result.data["ls_tail_us"],
+        )
+        for unit, result in zip(units, campaign.results)
+    ]
     if print_table:
         print(format_fig7(points))
     return points

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..cluster.scaling import ScalePoint, pattern1, pattern2
+from ..cluster.scaling import ScalePoint
 from ..metrics.report import format_table, improvement_pct
+from ..parallel.pool import run_units
+from ..parallel.sweeps import fig8_units
 
 
 @dataclass
@@ -43,32 +45,37 @@ def run_fig8(
     pairs_range: Optional[List[int]] = None,
     total_ops: int = 600,
     seed: int = 1,
+    workers: int = 0,
     print_table: bool = False,
 ) -> List[Fig8Curve]:
-    curves: List[Fig8Curve] = []
-    for op_mix in mixes:
-        for pattern in patterns:
-            for protocol in ("spdk", "nvme-opf"):
-                if pattern == 1:
-                    points = pattern1(
-                        protocol,
-                        op_mix,
-                        n_node_pairs=n_node_pairs,
-                        initiators_per_node_range=per_node_range,
-                        total_ops=total_ops,
-                        seed=seed,
-                    )
-                else:
-                    points = pattern2(
-                        protocol,
-                        op_mix,
-                        node_pairs_range=pairs_range,
-                        total_ops=total_ops,
-                        seed=seed,
-                    )
-                curves.append(
-                    Fig8Curve(_PANELS[(pattern, op_mix)], op_mix, pattern, protocol, points)
-                )
+    """Run the Figure 8 panels; one curve per panel per protocol.
+
+    The grid is :func:`~repro.parallel.sweeps.fig8_units` (one unit per
+    curve); ``workers`` works as in :func:`~repro.experiments.fig7.run_fig7`.
+    """
+    units = fig8_units(
+        mixes=mixes,
+        patterns=patterns,
+        n_node_pairs=n_node_pairs,
+        per_node_range=per_node_range,
+        pairs_range=pairs_range,
+        total_ops=total_ops,
+        seed=seed,
+    )
+    campaign = run_units(units, workers=workers)
+    campaign.raise_on_failure()
+    curves = []
+    for unit, result in zip(units, campaign.results):
+        pattern, op_mix = unit.payload["pattern"], unit.payload["op_mix"]
+        curves.append(
+            Fig8Curve(
+                _PANELS[(pattern, op_mix)],
+                op_mix,
+                pattern,
+                unit.payload["protocol"],
+                [ScalePoint(**p) for p in result.data["points"]],
+            )
+        )
     if print_table:
         print(format_fig8(curves))
     return curves

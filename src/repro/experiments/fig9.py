@@ -27,6 +27,8 @@ from ..metrics.collector import Collector
 from ..metrics.report import format_table, improvement_pct
 from ..net.topology import Fabric
 from ..nvmeof.discovery import DiscoveryService
+from ..parallel.pool import run_units
+from ..parallel.sweeps import fig9_units
 from ..simcore.engine import Environment
 from ..simcore.rng import RandomStreams
 from ..workloads.h5bench import (
@@ -38,6 +40,9 @@ from ..workloads.h5bench import (
 
 #: File-region blocks reserved per rank on its target namespace.
 _RANK_REGION_BLOCKS = 1 << 16
+
+#: Panel letter per (pattern, mode).
+_PANELS = {(2, "write"): "a", (2, "read"): "b", (1, "write"): "c", (1, "read"): "d"}
 
 
 @dataclass
@@ -142,6 +147,7 @@ def run_fig9(
     network_gbps: float = 25.0,
     dataset_load_us: float = 25_000.0,
     seed: int = 1,
+    workers: int = 0,
     print_table: bool = False,
 ) -> List[Fig9Point]:
     """Run the Figure 9 panels (scaled particle counts).
@@ -149,42 +155,33 @@ def run_fig9(
     ``dataset_load_us`` models h5bench's dataset loading between read
     timesteps (§V-E "Discussion on h5bench overhead") — it is what keeps
     read bandwidth, and oPF's read-side gain, below the write numbers.
+    The grid is :func:`~repro.parallel.sweeps.fig9_units`; ``workers``
+    works as in :func:`~repro.experiments.fig7.run_fig7`.
     """
-    points: List[Fig9Point] = []
-    panel_map = {(2, "write"): "a", (2, "read"): "b", (1, "write"): "c", (1, "read"): "d"}
-    for mode in modes:
-        bench = H5BenchConfig(
-            mode=mode,
-            particles_per_rank=particles_per_rank,
-            timesteps=timesteps,
-            dataset_load_us=dataset_load_us,
+    units = fig9_units(
+        modes=modes,
+        patterns=patterns,
+        n_node_pairs=n_node_pairs,
+        ranks_per_node_max=ranks_per_node_max,
+        particles_per_rank=particles_per_rank,
+        timesteps=timesteps,
+        network_gbps=network_gbps,
+        dataset_load_us=dataset_load_us,
+        seed=seed,
+    )
+    campaign = run_units(units, workers=workers)
+    campaign.raise_on_failure()
+    points = []
+    for unit, result in zip(units, campaign.results):
+        meta = unit.payload["meta"]
+        points.append(
+            Fig9Point(
+                panel=_PANELS[(meta["pattern"], meta["mode"])],
+                bandwidth_mbps=result.data["bandwidth_mbps"],
+                mean_latency_us=result.data["mean_latency_us"],
+                **meta,
+            )
         )
-        for pattern in patterns:
-            if pattern == 2:
-                grid = [(pairs, ranks_per_node_max) for pairs in range(1, n_node_pairs + 1)]
-            else:
-                step = max(1, ranks_per_node_max // 4)
-                grid = [
-                    (n_node_pairs, per_node)
-                    for per_node in range(step, ranks_per_node_max + 1, step)
-                ]
-            for protocol in ("spdk", "nvme-opf"):
-                for pairs, per_node in grid:
-                    bw, lat = run_h5bench_cluster(
-                        protocol, bench, pairs, per_node,
-                        network_gbps=network_gbps, seed=seed,
-                    )
-                    points.append(
-                        Fig9Point(
-                            panel=panel_map[(pattern, mode)],
-                            mode=mode,
-                            pattern=pattern,
-                            protocol=protocol,
-                            total_ranks=pairs * per_node,
-                            bandwidth_mbps=bw,
-                            mean_latency_us=lat,
-                        )
-                    )
     if print_table:
         print(format_fig9(points))
     return points

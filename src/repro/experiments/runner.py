@@ -9,11 +9,13 @@ Installed as the ``nvme-opf`` console script::
     nvme-opf all --quick
 
 ``--quick`` shrinks op counts and grids (same code paths, smaller numbers);
-full runs match the sizes used for EXPERIMENTS.md.  ``--workers N`` routes
-the sweep-shaped experiments (fig7, fig8, fig9, fuzz) through the
-``repro.parallel`` process pool — results are bit-identical to serial, the
-merge is keyed by work-unit id — while point experiments (table1, fig6*,
-qos, validate) ignore the pool and run serially.
+full runs match the sizes used for EXPERIMENTS.md.  The sweep-shaped
+experiments (fig7, fig8, fig9, fuzz) always run as ``repro.parallel`` work
+units: ``--workers 0`` or ``1`` runs them in-process, ``--workers N`` fans
+them out to N worker processes — results are bit-identical either way, the
+merge is keyed by work-unit id.  Point experiments (table1, fig6*, qos,
+validate) ignore the pool and run serially.  ``--workers`` above the
+machine's CPU count is rejected.
 
 ``serve`` starts the simulation service instead of an experiment::
 
@@ -27,12 +29,12 @@ pool, and defaults to 2.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Callable, Dict, List
 
 from ..errors import ConfigError
+from ..parallel.pool import cli_workers
 from .fig6 import run_fig6a, run_fig6b, run_fig6c
 from .fig7 import run_fig7
 from .fig8 import run_fig8
@@ -63,48 +65,36 @@ def _fig6c(quick: bool, workers: int):
 
 
 def _fig7(quick: bool, workers: int):
-    kwargs = dict(
+    return run_fig7(
         ratios=("1:1", "2:2", "1:4") if quick else ("1:1", "1:2", "2:2", "3:2", "1:3", "2:3", "1:4"),
         total_ops=300 if quick else 1000,
+        workers=workers,
         print_table=True,
     )
-    if workers > 1:
-        from ..parallel.sweeps import run_fig7_parallel
-
-        return run_fig7_parallel(workers=workers, **kwargs)
-    return run_fig7(**kwargs)
 
 
 def _fig8(quick: bool, workers: int):
-    kwargs = dict(
+    return run_fig8(
         per_node_range=[1, 3, 5] if quick else [1, 2, 3, 4, 5],
         pairs_range=[1, 3, 5] if quick else [1, 2, 3, 4, 5],
         total_ops=300 if quick else 600,
+        workers=workers,
         print_table=True,
     )
-    if workers > 1:
-        from ..parallel.sweeps import run_fig8_parallel
-
-        return run_fig8_parallel(workers=workers, **kwargs)
-    return run_fig8(**kwargs)
 
 
 def _fig9(quick: bool, workers: int):
     # Coalescing needs several windows' worth of I/O per timestep to pay
     # off; quick mode scales the dataset-loading overhead down with the
     # particle count so read bandwidth stays interpretable.
-    kwargs = dict(
+    return run_fig9(
         n_node_pairs=2 if quick else 4,
         ranks_per_node_max=4 if quick else 10,
         particles_per_rank=64 * 1024 if quick else 256 * 1024,
         dataset_load_us=6_000.0 if quick else 25_000.0,
+        workers=workers,
         print_table=True,
     )
-    if workers > 1:
-        from ..parallel.sweeps import run_fig9_parallel
-
-        return run_fig9_parallel(workers=workers, **kwargs)
-    return run_fig9(**kwargs)
 
 
 def _qos(quick: bool, workers: int):
@@ -146,26 +136,6 @@ EXPERIMENTS: Dict[str, Callable[[bool, int], None]] = {
     "fuzz": _fuzz,
     "validate": _validate,
 }
-
-
-def _validate_workers(workers: object) -> int:
-    from ..parallel.pool import MAX_WORKERS
-
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 0:
-        raise ConfigError(
-            f"key 'workers' must be a non-negative integer (got {workers!r})"
-        )
-    if workers > MAX_WORKERS:
-        raise ConfigError(f"key 'workers' must be <= {MAX_WORKERS} (got {workers!r})")
-    # Oversubscribing the pool never helps — the workers are CPU-bound
-    # simulators — it only adds scheduler noise to the timing numbers.
-    ncpu = os.cpu_count() or 1
-    if workers > ncpu:
-        raise ConfigError(
-            f"key 'workers' must be <= the machine's CPU count {ncpu} "
-            f"(got {workers!r})"
-        )
-    return workers
 
 
 def _serve(args: argparse.Namespace) -> int:
@@ -225,7 +195,7 @@ def main(argv: List[str] = None) -> int:
         return _serve(args)
 
     try:
-        workers = _validate_workers(args.workers)
+        workers = cli_workers(args.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -234,7 +204,7 @@ def main(argv: List[str] = None) -> int:
     for name in names:
         started = time.time()
         print(f"== {name} ==")
-        if workers > 1 and name not in PARALLEL_EXPERIMENTS:
+        if workers and name not in PARALLEL_EXPERIMENTS:
             print(f"[{name} has no parallel path; running serially]")
         points = EXPERIMENTS[name](args.quick, workers)
         if args.csv and points:

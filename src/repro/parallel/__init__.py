@@ -37,10 +37,6 @@ from .sweeps import (
     fuzz_units,
     program_units,
     run_fault_matrix_parallel,
-    run_fig7_parallel,
-    run_fig8_parallel,
-    run_fig9_parallel,
-    run_fuzz_parallel,
     run_programs_parallel,
 )
 from .units import (
@@ -81,10 +77,6 @@ __all__ = [
     "program_units",
     "register_executor",
     "run_fault_matrix_parallel",
-    "run_fig7_parallel",
-    "run_fig8_parallel",
-    "run_fig9_parallel",
-    "run_fuzz_parallel",
     "run_programs_parallel",
     "run_sharded",
     "run_units",

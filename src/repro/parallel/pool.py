@@ -22,6 +22,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -137,6 +138,25 @@ def _validate(units: Sequence[WorkUnit], workers: object, max_retries: object) -
                 f"unit {unit.unit_id!r}: unknown kind {unit.kind!r}; "
                 f"known: {sorted(kinds)}"
             )
+
+
+def cli_workers(workers: object) -> int:
+    """Validate a CLI's ``--workers N`` and return the pool size to use.
+
+    Applies :func:`run_units`' checks plus a cap at the machine's CPU
+    count: oversubscribing the pool never helps — the workers are
+    CPU-bound simulators — it only adds scheduler noise.  Library callers
+    (tests, campaign scripts) may exceed the cap deliberately.  ``0`` and
+    ``1`` both mean "run in-process", so both map to ``0``.
+    """
+    ncpu = os.cpu_count() or 1
+    if isinstance(workers, int) and workers > ncpu:
+        raise ConfigError(
+            f"key 'workers' must be <= the machine's CPU count {ncpu} "
+            f"(got {workers!r})"
+        )
+    _validate((), workers, 0)
+    return workers if workers > 1 else 0
 
 
 def _mp_context(name: Optional[str]):

@@ -1,22 +1,19 @@
-"""Experiment-level parallel drivers: figures, fuzz campaigns, programs.
+"""Experiment grids as work units: figures, fuzz campaigns, programs.
 
-Each ``*_units`` builder walks the *same* grid, in the *same* order, with
-the *same* knob derivations as its serial twin in ``repro.experiments``,
-so the work units it emits are an exact decomposition of the serial run.
-The ``run_*_parallel`` drivers fan those units out through
-:func:`~repro.parallel.pool.run_units` and rebuild the serial harness's
-return values from the merged results — the differential test suite pins
-value- and digest-equality between the two paths.
+Each ``*_units`` builder is the one definition of its experiment's grid:
+the loop order, the per-cell knob derivations (e.g. ``select_window``) and
+the unit ids.  ``repro.experiments.run_fig7`` / ``run_fig8`` / ``run_fig9``
+/ ``run_fuzz`` run these units through :func:`~repro.parallel.pool.run_units`
+(``workers=0`` in-process, ``workers>=1`` on a process pool) and rebuild
+their result types from the merged results, so serial and pooled runs
+share one code path and merge bit-identically.
 """
 
 from __future__ import annotations
 
-import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..cluster.scaling import ScalePoint
 from ..core.window import select_window
 from ..errors import ConfigError
 from ..faults.recovery import RetryPolicy
@@ -50,7 +47,7 @@ def fig7_units(
     seed: int = 1,
     auto_window: bool = True,
 ) -> List[WorkUnit]:
-    """One unit per Figure-7 cell, mirroring ``run_fig7``'s loop order."""
+    """One unit per Figure-7 cell and protocol, in the figure's row order."""
     from ..experiments.calibration import NETWORK_SPEEDS
     from ..workloads.mixes import PAPER_RATIOS
 
@@ -97,47 +94,6 @@ def fig7_units(
     return units
 
 
-def run_fig7_parallel(
-    ratios: Optional[Sequence[str]] = None,
-    speeds: Optional[Sequence[float]] = None,
-    mixes: Sequence[str] = ("read", "rw50", "write"),
-    total_ops: int = 600,
-    seed: int = 1,
-    auto_window: bool = True,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel ``run_fig7``: same points, same order, same values."""
-    from ..experiments.fig7 import Fig7Point, format_fig7
-
-    units = fig7_units(
-        ratios=ratios,
-        speeds=speeds,
-        mixes=mixes,
-        total_ops=total_ops,
-        seed=seed,
-        auto_window=auto_window,
-    )
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    points = []
-    for unit, result in zip(units, campaign.results):
-        meta = unit.payload["meta"]
-        points.append(
-            Fig7Point(
-                meta["ratio"],
-                meta["network_gbps"],
-                meta["op_mix"],
-                meta["protocol"],
-                result.data["tc_throughput_mbps"],
-                result.data["ls_tail_us"],
-            )
-        )
-    if print_table:
-        print(format_fig7(points))
-    return points
-
-
 # -- Figure 8 -----------------------------------------------------------------
 
 
@@ -174,48 +130,6 @@ def fig8_units(
     return units
 
 
-def run_fig8_parallel(
-    mixes: Sequence[str] = ("read", "rw50", "write"),
-    patterns: Sequence[int] = (1, 2),
-    n_node_pairs: int = 5,
-    per_node_range: Optional[List[int]] = None,
-    pairs_range: Optional[List[int]] = None,
-    total_ops: int = 600,
-    seed: int = 1,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel ``run_fig8``: same curves, same order, same values."""
-    from ..experiments.fig8 import _PANELS, Fig8Curve, format_fig8
-
-    units = fig8_units(
-        mixes=mixes,
-        patterns=patterns,
-        n_node_pairs=n_node_pairs,
-        per_node_range=per_node_range,
-        pairs_range=pairs_range,
-        total_ops=total_ops,
-        seed=seed,
-    )
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    curves = []
-    for unit, result in zip(units, campaign.results):
-        payload = unit.payload
-        curves.append(
-            Fig8Curve(
-                _PANELS[(payload["pattern"], payload["op_mix"])],
-                payload["op_mix"],
-                payload["pattern"],
-                payload["protocol"],
-                [ScalePoint(**p) for p in result.data["points"]],
-            )
-        )
-    if print_table:
-        print(format_fig8(curves))
-    return curves
-
-
 # -- Figure 9 -----------------------------------------------------------------
 
 
@@ -230,7 +144,7 @@ def fig9_units(
     dataset_load_us: float = 25_000.0,
     seed: int = 1,
 ) -> List[WorkUnit]:
-    """One unit per Figure-9 cluster point, mirroring ``run_fig9``."""
+    """One unit per Figure-9 cluster point and protocol."""
     units: List[WorkUnit] = []
     for mode in modes:
         bench = {
@@ -273,55 +187,6 @@ def fig9_units(
     return units
 
 
-def run_fig9_parallel(
-    modes: Sequence[str] = ("write", "read"),
-    patterns: Sequence[int] = (1, 2),
-    n_node_pairs: int = 4,
-    ranks_per_node_max: int = 10,
-    particles_per_rank: int = 256 * 1024,
-    timesteps: int = 2,
-    network_gbps: float = 25.0,
-    dataset_load_us: float = 25_000.0,
-    seed: int = 1,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel ``run_fig9``: same points, same order, same values."""
-    from ..experiments.fig9 import Fig9Point, format_fig9
-
-    panel_map = {(2, "write"): "a", (2, "read"): "b", (1, "write"): "c", (1, "read"): "d"}
-    units = fig9_units(
-        modes=modes,
-        patterns=patterns,
-        n_node_pairs=n_node_pairs,
-        ranks_per_node_max=ranks_per_node_max,
-        particles_per_rank=particles_per_rank,
-        timesteps=timesteps,
-        network_gbps=network_gbps,
-        dataset_load_us=dataset_load_us,
-        seed=seed,
-    )
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()
-    points = []
-    for unit, result in zip(units, campaign.results):
-        meta = unit.payload["meta"]
-        points.append(
-            Fig9Point(
-                panel=panel_map[(meta["pattern"], meta["mode"])],
-                mode=meta["mode"],
-                pattern=meta["pattern"],
-                protocol=meta["protocol"],
-                total_ranks=meta["total_ranks"],
-                bandwidth_mbps=result.data["bandwidth_mbps"],
-                mean_latency_us=result.data["mean_latency_us"],
-            )
-        )
-    if print_table:
-        print(format_fig9(points))
-    return points
-
-
 # -- fuzz campaigns -----------------------------------------------------------
 
 
@@ -360,60 +225,6 @@ def fuzz_units(
             )
         )
     return units
-
-
-def run_fuzz_parallel(
-    n_programs: int,
-    base_seed: int = 0,
-    generator_config=None,
-    determinism_stride: int = 25,
-    chunk_size: int = FUZZ_CHUNK_SIZE,
-    workers: int = 0,
-    print_table: bool = False,
-):
-    """Parallel fuzz campaign, field-for-field identical to ``run_fuzz``.
-
-    Blocks merge in seed order regardless of completion order: action
-    counts sum, determinism audits sum, and failures come back sorted by
-    seed with their one-command repros intact.
-    """
-    from ..experiments.fuzz import FuzzFailure, FuzzResult
-
-    units = fuzz_units(
-        n_programs,
-        base_seed=base_seed,
-        chunk_size=chunk_size,
-        determinism_stride=determinism_stride,
-        generator_config=generator_config,
-    )
-    started = time.time()
-    campaign = run_units(units, workers=workers)
-    campaign.raise_on_failure()  # unit-level crashes, not per-seed findings
-    merged = FuzzResult(base_seed=base_seed, n_programs=n_programs)
-    for result in campaign.results:  # submission order == ascending seeds
-        merged.action_counts.update(Counter(result.data["action_counts"]))
-        merged.determinism_checks += result.data["determinism_checks"]
-        for seed, kind, message in result.data["failures"]:
-            merged.failures.append(FuzzFailure(seed, kind, message))
-    merged.elapsed_s = time.time() - started
-
-    if print_table:
-        from ..metrics.report import format_table
-
-        rows = [[op, count] for op, count in sorted(merged.action_counts.items())]
-        print(
-            f"fuzz campaign: {n_programs} programs from seed {base_seed} "
-            f"({len(units)} blocks, {workers} workers), "
-            f"{merged.determinism_checks} determinism audits, "
-            f"{len(merged.failures)} failure(s), {merged.elapsed_s:.1f}s"
-        )
-        print(format_table(["action", "count"], rows))
-        for failure in merged.failures:
-            print(
-                f"FAIL seed {failure.seed} [{failure.kind}]: {failure.message}\n"
-                f"  repro: {failure.repro_command()}"
-            )
-    return merged
 
 
 # -- registered scenario programs ---------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for scaling builders, sweeps, and the experiments harnesses."""
+"""Tests for scaling builders and the experiments harnesses."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.cluster import (
     Scenario,
     ScenarioConfig,
     build_scaleout,
-    compare_protocols,
     pattern1,
     pattern2,
-    sweep,
     tenants_for_node,
 )
 from repro.errors import ConfigError
@@ -64,46 +62,6 @@ def test_pattern2_point_counts():
     assert [p.total_initiators for p in points] == [2, 4]
     # Adding a node pair adds hardware: throughput roughly scales.
     assert points[1].throughput_mbps > points[0].throughput_mbps * 1.5
-
-
-# ---------------------------------------------------------------- sweep ----
-def test_sweep_grid_applies_config_fields():
-    base = ScenarioConfig(protocol="spdk", total_ops=40, warmup_us=0)
-    points = sweep(base, {"network_gbps": [25.0, 100.0]}, ratio="0:1")
-    assert len(points) == 2
-    assert {p[0]["network_gbps"] for p in points} == {25.0, 100.0}
-    assert all(p[1].tc_throughput_mbps > 0 for p in points)
-
-
-def test_sweep_empty_grid_rejected():
-    base = ScenarioConfig(protocol="spdk", total_ops=10)
-    with pytest.raises(ConfigError):
-        sweep(base, {})
-
-
-def test_sweep_custom_builder_receives_extras():
-    base = ScenarioConfig(protocol="spdk", total_ops=30, warmup_us=0)
-    seen = []
-
-    def build(cfg, extra):
-        seen.append(extra)
-        from repro.workloads import tenants_for_ratio
-
-        return Scenario.two_sided(cfg, tenants_for_ratio(extra["ratio"]))
-
-    points = sweep(base, {"ratio": ["0:1", "0:2"]}, build=build)
-    assert len(points) == 2
-    assert seen == [{"ratio": "0:1"}, {"ratio": "0:2"}]
-
-
-def test_compare_protocols_pairs_points():
-    base = ScenarioConfig(total_ops=40, warmup_us=0)
-    rows = compare_protocols(base, {"op_mix": ["read"]}, ratio="0:1")
-    assert len(rows) == 1
-    params, spdk, opf = rows[0]
-    assert params == {"op_mix": "read"}
-    assert spdk.protocol == "spdk"
-    assert opf.protocol == "nvme-opf"
 
 
 # ------------------------------------------------------------ experiments ----

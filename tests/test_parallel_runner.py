@@ -3,9 +3,12 @@
 The headline guarantee of the parallel runner: fanning work out to a
 process pool changes *nothing* about the results.  Every suite here pins
 byte-for-byte equality between a serial (``workers=0``, in-process) run
-and a pooled run — for a Figure-7 sweep, the pinned 20-seed fuzz corpus,
-a chaos fault-matrix cell, and the golden-pinned library program — plus
-a Hypothesis proof that the merge is invariant under completion order.
+and a pooled run — for the Figure 7/8/9 sweeps, the pinned 20-seed fuzz
+corpus, a chaos fault-matrix cell, and the golden-pinned library program —
+plus a Hypothesis proof that the merge is invariant under completion order.
+The figure and fuzz harnesses are additionally held to sha256 pins that
+were recorded from the standalone nested-loop harnesses the unit grids
+replaced, so both paths answer to a reference outside themselves.
 
 The pool size comes from ``REPRO_TEST_WORKERS`` (CI sets 4; the default
 of 2 keeps single-core dev boxes fast).  Determinism must hold for any
@@ -31,18 +34,42 @@ from repro.parallel import (
     fig7_units,
     merge_results,
     register_executor,
-    run_fig7_parallel,
     run_programs_parallel,
     run_units,
 )
-from repro.parallel.sweeps import fuzz_units, run_fuzz_parallel
+from repro.parallel.sweeps import fuzz_units
 from repro.experiments.fig7 import run_fig7
+from repro.experiments.fig8 import run_fig8
+from repro.experiments.fig9 import run_fig9
 from repro.experiments.fuzz import run_fuzz
 from tests.test_golden_regression import GOLDEN_OPF_DIGEST_SHA256
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
 CORPUS_PATH = Path(__file__).parent / "data" / "scenario_fuzz_corpus.json"
+
+#: sha256 of ``repr(...)`` of each differential grid's result, recorded from
+#: the standalone nested-loop harnesses before ``run_fig7`` / ``run_fig8`` /
+#: ``run_fig9`` / ``run_fuzz`` were routed through the unit grids.  Any
+#: drift in a grid's order, knob derivation or rebuild shows up here.
+FIG7_GRID_POINTS_SHA256 = "fdd9325ed421c31e00d02a5853567b36f70d4599c7793bc0ea160a7cbadb011f"
+FIG8_GRID_CURVES_SHA256 = "890e4976a5b43d72e62d050d251d3ae78a6eeee0462f035df4b4f702872d771b"
+FIG9_GRID_POINTS_SHA256 = "c5afe675c27550004cddb6ad7606e33de39b0c9d5212e41d7d89defa90b0a1e7"
+#: ... of ``_fuzz_books(run_fuzz(30))``.
+FUZZ_30_BOOKS_SHA256 = "63b1725b26faacce164200502a0fce5e719e27cb1b77089ef089419d1eac253d"
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _fuzz_books(result):
+    """A fuzz campaign's deterministic fields, in canonical order."""
+    return (
+        sorted(result.action_counts.items()),
+        result.determinism_checks,
+        [(f.seed, f.kind, f.message) for f in result.failures],
+    )
 
 #: A deliberately staggered executor: later-submitted units finish first,
 #: so pooled completion order is the reverse of submission order.
@@ -73,24 +100,25 @@ class TestFig7Differential:
             assert p.data == s.data
 
     def test_points_match_the_serial_harness_exactly(self):
-        serial_points = run_fig7(**self.GRID)
-        pooled_points = run_fig7_parallel(workers=WORKERS, print_table=True, **self.GRID)
-        assert pooled_points == serial_points
+        for workers in (0, WORKERS):
+            points = run_fig7(workers=workers, print_table=True, **self.GRID)
+            assert _sha(points) == FIG7_GRID_POINTS_SHA256, f"workers={workers}"
 
     def test_unit_digest_matches_a_direct_scenario_run(self):
         from tests.conftest import build_fig7_cell
 
         units = fig7_units(**self.GRID)
-        unit = next(
-            u for u in units if u.unit_id == "fig7/read/10G/1:2/nvme-opf"
-        )
-        campaign = run_units([unit], workers=WORKERS)
-        direct = build_fig7_cell(
-            ratio="1:2",
-            total_ops=80,
-            window_size=unit.payload["config"]["window_size"],
-        ).run()
-        assert campaign.results[0].digest == direct.metrics_digest()
+        campaign = run_units(units, workers=WORKERS)
+        assert len(units) == 4
+        for unit, result in zip(units, campaign.results):
+            cfg = unit.payload["config"]
+            direct = build_fig7_cell(
+                ratio=unit.payload["ratio"],
+                protocol=cfg["protocol"],
+                total_ops=cfg["total_ops"],
+                window_size=cfg["window_size"],
+            ).run()
+            assert result.digest == direct.metrics_digest(), unit.unit_id
 
 
 class TestFig8Fig9Differential:
@@ -113,12 +141,11 @@ class TestFig8Fig9Differential:
     )
 
     def test_fig8_curves_match_the_serial_harness_exactly(self):
-        from repro.experiments.fig8 import run_fig8
-        from repro.parallel.sweeps import fig8_units, run_fig8_parallel
+        from repro.parallel.sweeps import fig8_units
 
-        serial_curves = run_fig8(**self.FIG8)
-        pooled_curves = run_fig8_parallel(workers=WORKERS, print_table=True, **self.FIG8)
-        assert pooled_curves == serial_curves
+        for workers in (0, WORKERS):
+            curves = run_fig8(workers=workers, print_table=True, **self.FIG8)
+            assert _sha(curves) == FIG8_GRID_CURVES_SHA256, f"workers={workers}"
         units = fig8_units(**self.FIG8)
         assert (
             run_units(units, workers=WORKERS).campaign_digest()
@@ -126,12 +153,11 @@ class TestFig8Fig9Differential:
         )
 
     def test_fig9_points_match_the_serial_harness_exactly(self):
-        from repro.experiments.fig9 import run_fig9
-        from repro.parallel.sweeps import fig9_units, run_fig9_parallel
+        from repro.parallel.sweeps import fig9_units
 
-        serial_points = run_fig9(**self.FIG9)
-        pooled_points = run_fig9_parallel(workers=WORKERS, print_table=True, **self.FIG9)
-        assert pooled_points == serial_points
+        for workers in (0, WORKERS):
+            points = run_fig9(workers=workers, print_table=True, **self.FIG9)
+            assert _sha(points) == FIG9_GRID_POINTS_SHA256, f"workers={workers}"
         units = fig9_units(**self.FIG9)
         assert (
             run_units(units, workers=WORKERS).campaign_digest()
@@ -164,24 +190,25 @@ class TestFuzzDifferential:
             )
 
     def test_parallel_fuzz_result_is_field_identical_to_serial(self):
-        serial = run_fuzz(n_programs=30, base_seed=0)
-        pooled = run_fuzz_parallel(
-            30, base_seed=0, chunk_size=8, workers=WORKERS, print_table=True
-        )
-        assert dict(pooled.action_counts) == dict(serial.action_counts)
-        assert pooled.determinism_checks == serial.determinism_checks
-        assert [(f.seed, f.kind, f.message) for f in pooled.failures] == [
-            (f.seed, f.kind, f.message) for f in serial.failures
-        ]
-        assert pooled.ok == serial.ok
-        assert pooled.base_seed == serial.base_seed
-        assert pooled.n_programs == serial.n_programs
+        for workers in (0, WORKERS):
+            result = run_fuzz(n_programs=30, base_seed=0, workers=workers, print_table=True)
+            assert _sha(_fuzz_books(result)) == FUZZ_30_BOOKS_SHA256, f"workers={workers}"
+            assert result.ok
+            assert (result.base_seed, result.n_programs) == (0, 30)
+        # Block size is invisible: 8-seed blocks sum to the same books.
+        campaign = run_units(fuzz_units(30, chunk_size=8), workers=WORKERS)
+        counts, checks, failures = {}, 0, []
+        for block in campaign.results:
+            for op, n in block.data["action_counts"].items():
+                counts[op] = counts.get(op, 0) + n
+            checks += block.data["determinism_checks"]
+            failures.extend(tuple(f) for f in block.data["failures"])
+        assert _sha((sorted(counts.items()), checks, failures)) == FUZZ_30_BOOKS_SHA256
 
     def test_run_fuzz_workers_flag_routes_through_the_pool(self):
         serial = run_fuzz(n_programs=12, base_seed=5)
         pooled = run_fuzz(n_programs=12, base_seed=5, workers=WORKERS)
-        assert dict(pooled.action_counts) == dict(serial.action_counts)
-        assert pooled.determinism_checks == serial.determinism_checks
+        assert _fuzz_books(pooled) == _fuzz_books(serial)
 
 
 # -- chaos fault-matrix cells --------------------------------------------------
@@ -352,6 +379,14 @@ class TestValidation:
         assert main(["--count", "10", "--workers", "-3"]) == 2
         assert main(["--count", "10", "--base-seed", "-1"]) == 2
 
+    def test_cli_workers_keeps_zero_and_one_in_process(self):
+        from repro.parallel.pool import cli_workers
+
+        ncpu = os.cpu_count() or 1
+        assert cli_workers(0) == 0
+        assert cli_workers(1) == 0
+        assert cli_workers(ncpu) == (ncpu if ncpu > 1 else 0)
+
     def test_runner_cli_rejects_bad_workers(self):
         from repro.experiments.runner import main
 
@@ -360,3 +395,25 @@ class TestValidation:
     def test_fault_matrix_rejects_unknown_kind(self):
         with pytest.raises(ConfigError, match="'kinds'"):
             fault_matrix_units(kinds=["no_such_fault"])
+
+
+class TestWorkersCliCpuCap:
+    """``--workers`` beyond the machine's CPU count is a ConfigError (CLI)."""
+
+    def test_runner_cli_rejects_oversubscription(self, capsys):
+        from repro.experiments.runner import main
+
+        over = (os.cpu_count() or 1) + 1
+        if over > 64:
+            pytest.skip("cpu_count + 1 exceeds MAX_WORKERS; cap hit first")
+        assert main(["table1", "--workers", str(over)]) == 2
+        err = capsys.readouterr().err
+        assert "CPU count" in err and "'workers'" in err
+
+    def test_fuzz_cli_rejects_oversubscription(self, capsys):
+        from repro.experiments.fuzz import main
+
+        over = (os.cpu_count() or 1) + 1
+        assert main(["--count", "3", "--workers", str(over)]) == 2
+        err = capsys.readouterr().err
+        assert "CPU count" in err and "'workers'" in err
