@@ -117,7 +117,6 @@ class InitiatorNode:
         target_node: TargetNode,
         protocol: str = PROTOCOL_SPDK,
         queue_depth: int = 128,
-        tenant_id: Optional[int] = None,
         costs: CpuCostModel = DEFAULT_COSTS,
         collector: Optional["Collector"] = None,
         window_size: "int | str" = 32,
@@ -127,7 +126,6 @@ class InitiatorNode:
         retry_policy=None,
         recovery_rng=None,
         events=None,
-        conn_id: Optional[int] = None,
         **opf_kwargs,
     ) -> NvmeOfInitiator:
         """Create one tenant connected to ``target_node``.
@@ -136,9 +134,6 @@ class InitiatorNode:
         is a distinct tenant at the target, as in the paper's experiments.
         ``transport`` selects the fabric binding: ``"tcp"`` (the paper's
         evaluation) or ``"rdma"`` (RoCE-style lossless QPs).
-
-        ``conn_id`` pins the TCP connection id (sharded runs replicate the
-        serial numbering).
         """
         if protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
@@ -146,8 +141,7 @@ class InitiatorNode:
             raise ConfigError(f"unknown transport {transport!r}; choose 'tcp' or 'rdma'")
         core = CpuCore(self.env, name=f"{self.name}/core{self._core_count}")
         self._core_count += 1
-        if tenant_id is None:
-            tenant_id = _next_tenant_id(self.fabric)
+        tenant_id = _next_tenant_id(self.fabric)
         if protocol == PROTOCOL_OPF:
             initiator: NvmeOfInitiator = OpfInitiator(
                 self.env,
@@ -182,14 +176,12 @@ class InitiatorNode:
             sock_i, sock_t = self.fabric.connect_rdma(
                 self.name, target_node.name, name=tenant_name
             )
-            initiator.attach(PduTransport(sock_i, validate=validate_pdus))
-            target_node.accept(PduTransport(sock_t, validate=validate_pdus))
         else:
             sock_i, sock_t = self.fabric.connect(
-                self.name, target_node.name, name=tenant_name, conn_id=conn_id
+                self.name, target_node.name, name=tenant_name
             )
-            initiator.attach(PduTransport(sock_i, validate=validate_pdus))
-            target_node.accept(PduTransport(sock_t, validate=validate_pdus))
+        initiator.attach(PduTransport(sock_i, validate=validate_pdus))
+        target_node.accept(PduTransport(sock_t, validate=validate_pdus))
         self.initiators.append(initiator)
         return initiator
 

@@ -153,11 +153,10 @@ class Collector:
         return summary
 
     def summaries(self) -> Dict[str, InitiatorSummary]:
-        # Canonical (name-sorted) iteration: every cross-initiator float
-        # reduction downstream must not depend on first-completion order —
-        # a sharded merge cannot reconstruct the serial event interleaving
-        # that decides co-timed first completions, so the aggregation order
-        # is pinned to something both execution modes can agree on.
+        # Canonical (name-sorted) iteration, not first-completion order:
+        # every cross-initiator float reduction downstream (aggregate rates,
+        # pooled percentiles) sums in this order, and the golden digests pin
+        # the resulting bits.
         out = {}
         for name in sorted(self._records):
             summary = self.summary(name)

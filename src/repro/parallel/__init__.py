@@ -1,4 +1,4 @@
-"""Sharded parallel sweep/campaign runner (``repro.parallel``).
+"""Parallel sweep/campaign runner (``repro.parallel``).
 
 The engine sustains millions of events per second on one core; the next
 order of magnitude in sweep throughput is across cores.  This package
@@ -16,15 +16,6 @@ from .pool import (
     CampaignResult,
     merge_results,
     run_units,
-)
-from .shards import (
-    ScenarioSpec,
-    ShardAssignment,
-    ShardPlan,
-    ShardedRunReport,
-    TenantPlacement,
-    partition,
-    run_sharded,
 )
 from .sweeps import (
     FAULT_MATRIX,
@@ -78,13 +69,6 @@ __all__ = [
     "register_executor",
     "run_fault_matrix_parallel",
     "run_programs_parallel",
-    "run_sharded",
     "run_units",
-    "ScenarioSpec",
-    "ShardAssignment",
-    "ShardPlan",
-    "ShardedRunReport",
-    "TenantPlacement",
-    "partition",
     "unregister_executor",
 ]

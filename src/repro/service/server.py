@@ -92,7 +92,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
-            raise _ApiError(400, "bad Content-Length") from None
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: answer and drop the connection
+            # rather than guess where the next request starts.
+            self.close_connection = True
+            raise _ApiError(400, "bad Content-Length")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -410,7 +410,12 @@ class SimSession:
                     f"session {self.id!r} is {self.state}; cannot inject actions"
                 )
             act = action if isinstance(action, Action) else action_from_dict(action)
-            at = float(at_us)
+            try:
+                at = float(at_us)
+            except (TypeError, ValueError):
+                raise ServiceError(
+                    f"key 'at_us' must be a number (got {at_us!r})"
+                ) from None
             pre_launch = not self.scenario._workload_launched
             self._validate_injection(act, at, pre_launch)
             record = InjectionRecord(

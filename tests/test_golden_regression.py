@@ -12,6 +12,8 @@ import hashlib
 
 import pytest
 
+from repro.cluster.scaling import build_scaleout
+from repro.cluster.scenario import ScenarioConfig
 from repro.faults import RetryPolicy
 from tests.conftest import build_fig7_cell
 
@@ -35,6 +37,17 @@ GOLDEN = {
 GOLDEN_OPF_DIGEST_SHA256 = (
     "9909aa02bf9d85b9cd79f8917b564d90a44b76d5f5281ccbdce5dfe238a8ad86"
 )
+
+
+#: sha256 of the full metrics digest of a TC-only scale-out run: 4 node
+#: pairs x 3 tenants, read mix, 10 Gbps, 120 ops/tenant, window 16, seed 7.
+#: The fig7 cell has one target; this pin covers the multi-node path: the
+#: fabric-wide tenant-id and TCP connection-id allocation across four node
+#: pairs and every per-target counter summed into the result.
+GOLDEN_SCALEOUT_DIGEST_SHA256 = {
+    "spdk": "a72a13daf65cd7a5fc270a957b9a9b1210055d017e0c82cfcdbc823a61cfa421",
+    "nvme-opf": "b508f9b38aad768aa7bc0e3ee47ac68fb197856fb6c884bdb9b4676e78b4ca9a",
+}
 
 
 def run(protocol, retry_policy=None):
@@ -75,3 +88,20 @@ def test_idle_retry_policy_does_not_move_the_numbers(protocol):
     assert armed.metrics_digest() == plain.metrics_digest()
     assert armed.recovery["timeouts"] == 0
     assert armed.recovery["retries"] == 0
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_SCALEOUT_DIGEST_SHA256))
+def test_scaleout_digest_is_pinned(protocol):
+    config = ScenarioConfig(
+        protocol=protocol,
+        network_gbps=10.0,
+        op_mix="read",
+        total_ops=120,
+        window_size=16,
+        seed=7,
+    )
+    digest = build_scaleout(config, 4, 3, include_ls=False).run().metrics_digest()
+    assert (
+        hashlib.sha256(digest.encode()).hexdigest()
+        == GOLDEN_SCALEOUT_DIGEST_SHA256[protocol]
+    )

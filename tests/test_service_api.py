@@ -11,6 +11,7 @@ for illegal transitions, 400 for malformed payloads.
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -138,6 +139,13 @@ def test_error_mapping_404_409_400(client):
         client.inject(session_id, {"op": "tenant_join", "tenant": "x",
                                    "priority": "latency"}, at_us=1.0)
     assert err.value.status == 400
+    # A non-numeric injection time is a malformed request, not a crash.
+    slo_change = SloChange(tenant="ls0", p99_ceiling_us=900.0)
+    for at_us in ("soon", [1.0], {"t": 1.0}):
+        with pytest.raises(ServiceApiError) as err:
+            client.inject(session_id, slo_change, at_us=at_us)
+        assert err.value.status == 400
+        assert "at_us" in err.value.message
 
 
 def test_malformed_program_error_names_the_action(client):
@@ -236,6 +244,20 @@ def test_bad_content_length_header(server):
         assert b"Content-Length" in response.read()
     finally:
         connection.close()
+
+
+def test_negative_content_length_is_rejected(server):
+    """A negative length must not reach ``rfile.read(-1)``, which would
+    block the handler until the client hangs up."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /sessions HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: -1\r\n\r\n"
+        )
+        status_line = sock.makefile("rb").readline()
+    assert status_line.split()[1] == b"400"
 
 
 # -- server lifecycle ---------------------------------------------------------
