@@ -7,7 +7,7 @@ rather than as mysteriously slow figure runs.
 """
 
 from repro.net import Fabric
-from repro.simcore import Environment, Store
+from repro.simcore import Environment
 from repro.simcore.rng import RandomStreams
 from repro.ssd import NvmeSsd, SsdProfile
 
@@ -47,30 +47,6 @@ def test_engine_callback_throughput(benchmark):
 
     result = benchmark(run)
     assert result == 100_000.0
-
-
-def test_engine_store_handoff(benchmark):
-    """Producer/consumer rendezvous cost (50k items)."""
-
-    def run():
-        env = Environment()
-        store = Store(env)
-        count = 50_000
-
-        def producer(env):
-            for i in range(count):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(count):
-                yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return count
-
-    assert benchmark(run) == 50_000
 
 
 def test_tcp_bulk_transfer(benchmark):

@@ -20,9 +20,7 @@ Usage::
 ``--check`` exits non-zero when engine event throughput falls more than
 ``--tolerance`` (default 20%) below the committed post-refactor baseline
 (skipped with a notice when the baseline was recorded on a different
-machine), when batched dispatch drops below the absolute
-``ENGINE_CALLBACKS_FLOOR``, or when the disabled QoS control plane stops
-being free.
+machine), or when the disabled QoS control plane stops being free.
 
 Set ``BENCH_SRC=/path/to/other/src`` to benchmark a different source tree
 with this same harness (used to record ``pre_refactor`` sections from an
@@ -43,7 +41,7 @@ _SRC = os.environ.get("BENCH_SRC") or str(Path(__file__).resolve().parent.parent
 sys.path.insert(0, _SRC)
 
 from repro.net import Fabric
-from repro.simcore import Environment, Store
+from repro.simcore import Environment
 from repro.simcore.rng import RandomStreams
 from repro.ssd import NvmeSsd, SsdProfile
 
@@ -52,12 +50,6 @@ BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 #: The disabled control plane (qos_policy="static", no SLOs) must stay free:
 #: scenarios built without SLOs may cost at most this much extra wall clock.
 QOS_OFF_OVERHEAD_CEILING = 0.02
-
-#: Absolute floor for batched callback dispatch (events/second).  This is
-#: machine-dependent in principle, but the batched fast path clears it by a
-#: wide margin on every machine tried so far; scale with --tolerance if a
-#: genuinely slower runner ever needs it.
-ENGINE_CALLBACKS_FLOOR = 5_000_000
 
 
 def machine_context() -> dict:
@@ -122,40 +114,8 @@ def bench_engine_generator(n: int) -> dict:
     return {"events": n, "seconds": elapsed, "events_per_sec": n / elapsed}
 
 
-def bench_engine_callbacks(n: int) -> dict:
-    """Batched callback dispatch: ``call_later_batch`` + same-timestamp drain.
-
-    This is the shape the hot layers actually use after the batched/array
-    refactor — a layer completes a window of items at one timestamp and the
-    engine dispatches them back-to-back without per-item heap traffic.  On
-    kernels without batching it falls back to the chained-scalar loop so the
-    same script can record pre-refactor sections.
-    """
-
-    def run():
-        env = Environment()
-        state = {"count": 0}
-
-        def tick(_arg):
-            state["count"] += 1
-
-        if hasattr(env, "call_later_batch"):
-            chunk = 1_000
-            batches = max(1, n // chunk)
-            args = tuple(range(chunk))
-            for i in range(batches):
-                env.call_later_batch(float(i + 1), tick, args)
-            env.run()
-            return batches * chunk - state["count"]
-        return _chained_callbacks(env, n, tick)
-
-    elapsed, left = _best_of(run)
-    assert left == 0
-    return {"events": n, "seconds": elapsed, "events_per_sec": n / elapsed}
-
-
-def _chained_callbacks(env, n: int, tick_counter) -> int:
-    """One completion schedules the next — the pre-batching idiom."""
+def _chained_callbacks(env, n: int) -> int:
+    """One completion schedules the next."""
     state = {"left": n}
 
     if hasattr(env, "call_later"):
@@ -190,34 +150,11 @@ def bench_engine_callbacks_chained(n: int) -> dict:
     """The scalar callback hot loop: ``n`` chained completions."""
 
     def run():
-        env = Environment()
-        return _chained_callbacks(env, n, None)
+        return _chained_callbacks(Environment(), n)
 
     elapsed, left = _best_of(run)
     assert left == 0
     return {"events": n, "seconds": elapsed, "events_per_sec": n / elapsed}
-
-
-def bench_store_handoff(n: int) -> dict:
-    def run():
-        env = Environment()
-        store = Store(env)
-
-        def producer(env):
-            for i in range(n):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(n):
-                yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return n
-
-    elapsed, _ = _best_of(run)
-    return {"items": n, "seconds": elapsed, "items_per_sec": n / elapsed}
 
 
 def bench_tcp_bulk(messages: int) -> dict:
@@ -357,9 +294,7 @@ def run_all(fast: bool) -> dict:
         "mode": "fast" if fast else "full",
         "machine": machine_context(),
         "engine_generator": bench_engine_generator(100_000 // scale),
-        "engine_callbacks": bench_engine_callbacks(1_000_000 // scale),
         "engine_callbacks_chained": bench_engine_callbacks_chained(100_000 // scale),
-        "store_handoff": bench_store_handoff(50_000 // scale),
         "tcp_bulk": bench_tcp_bulk(256 // (2 if fast else 1)),
         "ssd_pipeline": bench_ssd_pipeline(20_000 // scale),
         # Full mode uses 400 ops + best-of-8: at 200 ops the constant
@@ -408,7 +343,7 @@ def check(current: dict, committed: dict, tolerance: float) -> int:
         baseline = None
 
     if baseline:
-        for key in ("engine_generator", "engine_callbacks", "engine_callbacks_chained"):
+        for key in ("engine_generator", "engine_callbacks_chained"):
             base = baseline.get(key, {}).get("events_per_sec")
             cur = current.get(key, {}).get("events_per_sec")
             if not base or not cur:
@@ -417,18 +352,6 @@ def check(current: dict, committed: dict, tolerance: float) -> int:
             status = "ok" if cur >= floor else "REGRESSION"
             print(
                 f"check: {key}: {cur:,.0f} ev/s vs baseline {base:,.0f} "
-                f"(floor {floor:,.0f}) -> {status}"
-            )
-            if cur < floor:
-                failures += 1
-        # Absolute floor for batched dispatch — only meaningful on a machine
-        # that demonstrably clears it (the baseline machine does).
-        cur = current.get("engine_callbacks", {}).get("events_per_sec")
-        if cur:
-            floor = ENGINE_CALLBACKS_FLOOR * (1.0 - tolerance)
-            status = "ok" if cur >= floor else "REGRESSION"
-            print(
-                f"check: engine_callbacks absolute: {cur:,.0f} ev/s "
                 f"(floor {floor:,.0f}) -> {status}"
             )
             if cur < floor:

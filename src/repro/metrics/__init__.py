@@ -1,4 +1,4 @@
-"""Measurement: collectors, percentiles, time series, report tables."""
+"""Measurement: collectors, percentiles, event counters, report tables."""
 
 from .collector import Collector, InitiatorSummary
 from .events import EventCounter
@@ -12,10 +12,8 @@ from .report import (
     reduction_pct,
     speedup,
 )
-from .timeseries import BinnedSeries
 
 __all__ = [
-    "BinnedSeries",
     "Collector",
     "EventCounter",
     "FairnessIndex",

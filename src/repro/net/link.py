@@ -15,7 +15,6 @@ from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from ..errors import ConfigError
-from ..simcore.trace import NULL_TRACER, Tracer
 from ..units import gbps_to_bytes_per_us
 from .packet import Packet
 
@@ -69,7 +68,6 @@ class Link:
         "_free_at",
         "_pending",
         "_deliver_cb",
-        "tracer",
         "drop_filter",
         "up",
     )
@@ -81,7 +79,6 @@ class Link:
         propagation_us: float = 2.0,
         queue_packets: int = 128,
         name: str = "link",
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if rate_gbps <= 0:
             raise ConfigError("link rate must be positive")
@@ -113,7 +110,6 @@ class Link:
         #: one on the heap per frame, and binding it fresh each time would
         #: allocate a method object per frame.
         self._deliver_cb = self._deliver
-        self.tracer = tracer or NULL_TRACER
         #: Optional fault-injection hook: packets for which this returns
         #: True are dropped before enqueue (counted in ``stats.dropped``).
         self.drop_filter: Optional[Callable[[Packet], bool]] = None
@@ -142,20 +138,13 @@ class Link:
         """
         if self.sink is None:
             raise ConfigError(f"link {self.name!r} has no sink connected")
-        # Drop paths pre-check ``tracer.enabled`` so a drop storm on a
-        # disabled tracer costs one attribute read, not a method call per
-        # frame (and callers never build payloads for records nobody keeps).
         if not self.up:
             self.stats.dropped += 1
             self.stats.fault_drops += 1
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, self.name, "drop-linkdown", packet)
             return False
         if self.drop_filter is not None and self.drop_filter(packet):
             self.stats.dropped += 1
             self.stats.fault_drops += 1
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, self.name, "drop-injected", packet)
             return False
         env = self.env
         now = env.now
@@ -164,8 +153,6 @@ class Link:
             pending.popleft()
         if len(pending) >= self.queue_limit:
             self.stats.dropped += 1
-            if self.tracer.enabled:
-                self.tracer.emit(now, self.name, "drop", packet)
             return False
         stats = self.stats
         stats.enqueued += 1

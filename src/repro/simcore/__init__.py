@@ -2,53 +2,35 @@
 
 Public surface::
 
-    from repro.simcore import Environment, Interrupt
+    from repro.simcore import Environment
     env = Environment()
     env.process(my_generator(env))
     env.run(until=1000.0)
 
-The engine uses generator-based processes with SimPy-compatible semantics
-(events, conditions, interrupts, stores, resources) implemented in-tree so
-the reproduction has no external runtime dependencies.
+The engine runs generator-based processes with SimPy-compatible semantics
+(events, conditions, error propagation) next to plain ``call_later``
+callbacks on one heap, implemented in-tree so the reproduction has no
+external runtime dependencies.
 """
 
 from .engine import Environment, Infinity
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout, NORMAL, URGENT
-from .process import Interrupt, Process
-from .resources import (
-    Container,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from .process import Process
 from .rng import RandomStreams, ScopedStreams, lognormal_with_mean
-from .trace import NULL_TRACER, TraceRecord, Tracer
-from .monitor import Sampler
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "Infinity",
-    "Interrupt",
     "NORMAL",
-    "NULL_TRACER",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "RandomStreams",
-    "Resource",
-    "Sampler",
     "ScopedStreams",
-    "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "URGENT",
     "lognormal_with_mean",
 ]

@@ -9,7 +9,7 @@ Two scheduling APIs share the one heap (see docs/ARCHITECTURE.md, "Two
 scheduling APIs"):
 
 * **Processes** — generators yielding :class:`Event` objects.  Expressive
-  (interrupts, conditions, error propagation); one object per occurrence.
+  (conditions, error propagation); one object per occurrence.
   Use for the cold control plane: connect/handshake, recovery, experiment
   orchestration.
 * **Plain callbacks** — :meth:`Environment.call_later` /
@@ -23,15 +23,8 @@ event processor), so callbacks and events interleave with exactly the same
 ``(time, priority, seq)`` tie-breaking — the fast path cannot perturb replay
 order.
 
-Batched scheduling (see docs/ARCHITECTURE.md, "Batched dispatch"):
-:meth:`Environment.call_later_batch` schedules ``fn(arg)`` for a whole list
-of args at one timestamp as a *single* heap entry that reserves a
-contiguous run of sequence numbers — one heap push and one heap pop per
-batch instead of per item, while replaying bit-identically to the
-equivalent loop of ``call_later`` calls.  The run loop additionally drains
-runs of same-timestamp entries into a reusable list and dispatches them
-without re-entering the heap, falling back to heap order the moment a
-dispatched callback schedules something that must sort earlier.
+Every entry leaves the heap in one place, :meth:`Environment.advance`;
+:meth:`Environment.run` finds or builds its stop event and calls it.
 
 Typical usage::
 
@@ -50,9 +43,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
-from ..errors import SimulationError, StopSimulation
+from ..errors import SimulationError
 from .events import AllOf, AnyOf, Event, NORMAL, Timeout, URGENT
 from .process import Process
 
@@ -112,32 +105,22 @@ def _process_event(event: Event) -> None:
 class Environment:
     """Execution environment for a single simulation run."""
 
-    __slots__ = ("now", "_queue", "_seq", "_active_proc", "_timeout_pool", "_batch")
+    __slots__ = ("now", "_queue", "_seq", "_timeout_pool")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Callable[[Any], None], Any]] = []
-        # A plain int, not itertools.count: a batch reserves a contiguous
-        # run of sequence numbers with one addition instead of len(batch)
-        # next() calls.
+        # A plain int, not itertools.count: hot schedule sites (``Link.send``)
+        # take a sequence number inline.
         self._seq = 0
-        self._active_proc: Optional[Process] = None
         #: Free list of recycled :class:`Timeout` objects (see ``timeout()``).
         self._timeout_pool: List[Timeout] = []
-        #: Reusable same-timestamp drain list for the run loop (never
-        #: reallocated; cleared between drains).
-        self._batch: List[Tuple[float, int, int, Callable[[Any], None], Any]] = []
 
     # -- clock & introspection -----------------------------------------------
     # ``now`` is a plain data attribute, not a property: the clock is read on
     # every hot-path callback across every layer, and a slot read is the
     # cheapest access Python offers.  Treat it as read-only outside the run
     # loop.
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (if any)."""
-        return self._active_proc
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when the queue is empty."""
@@ -204,116 +187,25 @@ class Environment:
         self._seq = seq + 1
         _heappush(self._queue, (t, priority, seq, fn, arg))
 
-    def call_later_batch(
-        self,
-        delay: float,
-        fn: Callable[[Any], None],
-        args: Sequence[Any],
-        priority: int = NORMAL,
-    ) -> None:
-        """Schedule ``fn(arg)`` for every ``arg`` in ``args`` at ``now + delay``.
-
-        Semantically identical to ``for arg in args: call_later(delay, fn,
-        arg)`` — the batch reserves the same contiguous run of sequence
-        numbers, so replay order is bit-for-bit the same — but it costs one
-        heap entry and one heap operation for the whole batch instead of
-        one per item.  Use it where a hot layer completes or emits many
-        items at one timestamp (device channel batches, coalesced windows,
-        telemetry flushes).
-
-        The engine takes ownership of ``args``: callers must not mutate the
-        sequence after scheduling.  An empty batch is a no-op (the delay is
-        still validated).
-        """
-        if not 0.0 <= delay < Infinity:
-            raise self._bad_delay(delay)
-        n = len(args)
-        if n == 0:
-            return
-        seq = self._seq
-        self._seq = seq + n
-        _heappush(
-            self._queue,
-            (self.now + delay, priority, seq, self._dispatch_batch, (fn, args, priority, seq)),
-        )
-
-    def _dispatch_batch(
-        self, token: Tuple[Callable[[Any], None], Sequence[Any], int, int]
-    ) -> None:
-        """Run one batch entry: ``fn(arg)`` per item, preserving heap order.
-
-        Items dispatch back-to-back with no per-item heap traffic.  The one
-        thing that could legally sort *between* two items of the batch is an
-        entry scheduled — by one of the batch's own callbacks — at the same
-        timestamp with a more urgent priority (same-priority entries always
-        carry later sequence numbers, and past timestamps cannot be
-        scheduled).  Callbacks only ever push onto the queue, so the guard
-        watches ``len(queue)``: while the length is unchanged nothing new
-        can preempt, and the common case pays one C-level ``len()`` per
-        item.  On preemption the batch's tail is pushed back as a new batch
-        entry keyed by the next undispatched item's sequence number, which
-        restores exact heap semantics.
-        """
-        fn, args, priority, seq = token
-        queue = self._queue
-        now = self.now
-        qlen = len(queue)
-        i = 0
-        try:
-            for arg in args:
-                if len(queue) != qlen:
-                    head = queue[0]
-                    if head[0] == now and head[1] < priority:
-                        _heappush(
-                            queue,
-                            (
-                                now,
-                                priority,
-                                seq + i,
-                                self._dispatch_batch,
-                                (fn, args[i:], priority, seq + i),
-                            ),
-                        )
-                        return
-                    qlen = len(queue)
-                i += 1
-                fn(arg)
-        except BaseException:
-            # Keep the heap resumable: the undispatched tail goes back as
-            # its own batch entry (same contiguous sequence numbers).
-            if i < len(args):
-                _heappush(
-                    queue,
-                    (now, priority, seq + i, self._dispatch_batch, (fn, args[i:], priority, seq + i)),
-                )
-            raise
-
-    def step(self) -> None:
-        """Process exactly one entry, advancing the clock to its time."""
-        try:
-            self.now, _, _, fn, arg = _heappop(self._queue)
-        except IndexError:
-            raise SimulationError("the event queue is empty") from None
-        fn(arg)
-
     def advance(
         self,
         max_events: Optional[int] = None,
         until_time: Optional[float] = None,
         stop: Optional[Event] = None,
     ) -> int:
-        """Budgeted incremental stepping: process up to ``max_events`` heap
-        entries, none scheduled after ``until_time``, halting immediately
-        after ``stop`` is processed.  Returns the number of entries run.
+        """Process up to ``max_events`` heap entries, none scheduled after
+        ``until_time``, halting immediately after ``stop`` is processed.
+        Returns the number of entries run.
 
-        This is the non-blocking slice the service control plane multiplexes
-        sessions on: each entry dispatches exactly as :meth:`step` would (one
-        pop, clock set, ``fn(arg)``), so interleaving ``advance`` calls with
+        This is the engine's only dispatch loop: :meth:`run` is a thin
+        wrapper around it, and the service control plane multiplexes
+        sessions on budgeted slices of it.  Each entry is one pop, a clock
+        set and ``fn(arg)``, so interleaving ``advance`` calls with
         phase-transition code between them replays bit-identically to one
         uninterrupted :meth:`run` — the budget boundaries are invisible to
         the simulation.  An exhausted budget simply returns; the queue stays
-        resumable.  Unlike :meth:`run`, no stop callback is registered on
-        ``stop`` — the caller polls :attr:`Event.processed` — so a budgeted
+        resumable, also after a callback raises.  Nothing is registered on
+        ``stop`` (the loop polls :attr:`Event.processed`), so a budgeted
         driver adds zero heap entries and zero sequence numbers.
         """
         if max_events is not None and max_events < 0:
@@ -343,7 +235,7 @@ class Environment:
         ----------
         until:
             * ``None`` — run until the event queue drains.
-            * a number — run until the clock reaches that time.
+            * a number — run until the clock reaches that (finite) time.
             * an :class:`Event` — run until that event is processed and
               return its value (raising if it failed).
         """
@@ -351,12 +243,15 @@ class Environment:
             stop: Optional[Event] = None
         elif isinstance(until, Event):
             stop = until
-            if stop.callbacks is None:
-                return stop.value if stop.ok else self._reraise(stop.value)
-            stop.callbacks.append(self._stop_callback)
+            # Keep a pending stop event out of the Timeout pool: its value
+            # is read after it has been processed.
+            if stop.callbacks is not None:
+                stop._pooled = False
         else:
             at = float(until)
-            if at < self.now:
+            if not self.now <= at < Infinity:
+                if not math.isfinite(at):
+                    raise SimulationError(f"until must be finite (got {at!r})")
                 raise SimulationError(f"until={at} lies in the past (now={self.now})")
             stop = Event(self)
             stop._ok = True
@@ -364,72 +259,18 @@ class Environment:
             # URGENT: fire before any NORMAL event at the same timestamp.
             seq = self._seq
             self._seq = seq + 1
-            heapq.heappush(self._queue, (at, URGENT, seq, _process_event, stop))
-            stop.callbacks.append(self._stop_callback)
+            _heappush(self._queue, (at, URGENT, seq, _process_event, stop))
 
-        # Inlined step() loop: one attribute fetch per run, not per event.
-        # Runs of same-timestamp entries are drained into a reusable list
-        # and dispatched without re-entering the heap; a per-item guard
-        # (cheap tuple compare against the heap head) restores exact heap
-        # order the moment a dispatched callback schedules something that
-        # must sort earlier — so the drain cannot perturb replay order.
-        queue = self._queue
-        pop = _heappop
-        push = _heappush
-        batch = self._batch
-        i = n = 0
-        try:
-            while queue:
-                t, _p, _s, fn, arg = pop(queue)
-                self.now = t
-                fn(arg)
-                # Same-timestamp drain only pays off for runs of >= 2
-                # entries; a single queued successor (the common chained
-                # shape) skips it on one cheap len() check.
-                while len(queue) > 1 and queue[0][0] == t:
-                    batch.clear()
-                    append = batch.append
-                    while queue and queue[0][0] == t:
-                        append(pop(queue))
-                    i = 0
-                    n = len(batch)
-                    while i < n:
-                        e = batch[i]
-                        if queue and queue[0] < e:
-                            # Return the undispatched tail to the heap and
-                            # let the outer loop re-establish order.
-                            while n > i:
-                                n -= 1
-                                push(queue, batch[n])
-                            break
-                        i += 1
-                        e[3](e[4])
-        except BaseException as exc:
-            # An exception mid-drain (a stop callback, a failed event) must
-            # not lose the undispatched tail: the heap has to stay resumable
-            # for a later run() call.
-            while n > i:
-                n -= 1
-                push(queue, batch[n])
-            batch.clear()
-            if isinstance(exc, StopSimulation):
-                return exc.args[0]
-            raise
-        batch.clear()
-
-        if stop is not None and not stop.triggered:
-            raise SimulationError("run(until=event) finished but the event never triggered")
-        return None
-
-    @staticmethod
-    def _reraise(exc: BaseException) -> None:
-        raise exc
-
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        if event._ok:
-            raise StopSimulation(event._value)
-        raise event._value
+        if stop is None:
+            self.advance()
+            return None
+        if stop.callbacks is not None:
+            self.advance(stop=stop)
+            if stop.callbacks is not None:
+                raise SimulationError("run(until=event) finished but the event never triggered")
+        if stop._ok:
+            return stop._value
+        raise stop._value
 
     # -- factories -------------------------------------------------------------
     def process(

@@ -190,30 +190,6 @@ def test_engine_time_never_goes_backwards(delays):
     assert len(observed) == len(delays)
 
 
-@given(st.lists(st.integers(1, 1000), min_size=1, max_size=40))
-@settings(max_examples=30)
-def test_store_preserves_fifo_under_any_sizes(items):
-    from repro.simcore import Store
-
-    env = Environment()
-    store = Store(env)
-    out = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in items:
-            got = yield store.get()
-            out.append(got)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert out == items
-
-
 # ------------------------------------------------------ TCP under random loss ----
 @given(
     st.integers(0, 2**31 - 1),

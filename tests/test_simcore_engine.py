@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import Environment, Interrupt
+from repro.simcore import Environment
 
 
 def test_clock_starts_at_initial_time():
@@ -239,71 +239,6 @@ def test_yield_non_event_fails_process():
     assert not p.ok
 
 
-def test_interrupt_wakes_process_with_cause():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            return ("interrupted", exc.cause, env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(3.0)
-        victim.interrupt("reason")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == ("interrupted", "reason", 3.0)
-
-
-def test_interrupting_finished_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-
-    def proc(env):
-        with pytest.raises(SimulationError):
-            env.active_process.interrupt()
-        yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-
-
-def test_interrupted_process_can_continue_waiting():
-    env = Environment()
-
-    def sleeper(env):
-        start = env.now
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(10.0)
-        return env.now - start
-
-    def interrupter(env, victim):
-        yield env.timeout(5.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == 15.0  # 5 (interrupted) + 10
-
-
 def test_peek_and_len():
     env = Environment()
     assert env.peek() == float("inf")
@@ -311,12 +246,6 @@ def test_peek_and_len():
     env.timeout(2.0)
     assert env.peek() == 2.0
     assert len(env) == 2
-
-
-def test_step_on_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_processes_see_consistent_now():
@@ -368,6 +297,27 @@ def test_run_until_failed_event_raises():
     # And again on the already-processed failure.
     with pytest.raises(ValueError):
         env.run(until=p)
+
+
+def test_run_until_event_that_never_fires_raises():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(SimulationError, match="never triggered"):
+        env.run(until=env.event())
+    assert env.now == 1.0
+
+
+def test_run_until_pooled_timeout_returns_its_value():
+    """A timeout a process also waits on is pool-eligible; as the stop event
+    it must keep its value."""
+    env = Environment()
+    t = env.timeout(5.0, value="v")
+
+    def waiter(env):
+        yield t
+
+    env.process(waiter(env))
+    assert env.run(until=t) == "v"
 
 
 def test_event_trigger_copies_outcome():

@@ -1,98 +1,11 @@
-"""Tests for tracing, sampling monitors, RNG streams, and units."""
+"""Tests for RNG streams and units."""
 
 import numpy as np
 import pytest
 
 from repro import units
-from repro.simcore import Environment, RandomStreams, Sampler, Tracer
+from repro.simcore import RandomStreams
 from repro.simcore.rng import lognormal_with_mean
-from repro.simcore.trace import NULL_TRACER, TraceRecord
-
-
-# ------------------------------------------------------------------ tracer ----
-def test_tracer_disabled_by_default():
-    tracer = Tracer()
-    tracer.emit(1.0, "src", "kind", "payload")
-    assert tracer.records == []
-
-
-def test_tracer_records_when_enabled():
-    tracer = Tracer(enabled=True)
-    tracer.emit(1.0, "link", "drop", {"pkt": 1})
-    tracer.emit(2.0, "link", "send")
-    tracer.emit(3.0, "ssd", "drop")
-    assert len(tracer.records) == 3
-    assert tracer.count(source="link") == 2
-    assert tracer.count(kind="drop") == 2
-    assert tracer.count(source="link", kind="drop") == 1
-    assert list(tracer.filter(source="ssd"))[0].time == 3.0
-
-
-def test_tracer_limit():
-    tracer = Tracer(enabled=True, limit=2)
-    for i in range(5):
-        tracer.emit(float(i), "s", "k")
-    assert len(tracer.records) == 2
-
-
-def test_tracer_sink_invoked():
-    tracer = Tracer(enabled=True)
-    seen = []
-    tracer.add_sink(seen.append)
-    tracer.emit(1.0, "s", "k")
-    assert len(seen) == 1
-    assert isinstance(seen[0], TraceRecord)
-
-
-def test_tracer_clear():
-    tracer = Tracer(enabled=True)
-    tracer.emit(1.0, "s", "k")
-    tracer.clear()
-    assert tracer.records == []
-
-
-def test_null_tracer_is_noop():
-    NULL_TRACER.emit(1.0, "s", "k")
-    assert NULL_TRACER.records == []
-
-
-# ----------------------------------------------------------------- sampler ----
-def test_sampler_collects_at_interval():
-    env = Environment()
-    state = {"v": 0}
-
-    def bump(env):
-        while True:
-            yield env.timeout(1.0)
-            state["v"] += 1
-
-    env.process(bump(env))
-    sampler = Sampler(env, probe=lambda: state["v"], interval=2.0)
-    env.run(until=10.0)
-    assert len(sampler.samples) == 5  # t=0,2,4,6,8
-    assert sampler.times == [0.0, 2.0, 4.0, 6.0, 8.0]
-    assert sampler.values[0] == 0
-    assert sampler.mean() >= 0
-
-
-def test_sampler_stop():
-    env = Environment()
-    sampler = Sampler(env, probe=lambda: 1, interval=1.0)
-
-    def stopper(env):
-        yield env.timeout(3.5)
-        sampler.stop()
-        sampler.stop()  # idempotent
-
-    env.process(stopper(env))
-    env.run()
-    assert len(sampler.samples) == 4
-
-
-def test_sampler_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Sampler(env, probe=lambda: 0, interval=0.0)
 
 
 # --------------------------------------------------------------------- rng ----

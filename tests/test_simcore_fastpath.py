@@ -117,6 +117,18 @@ def test_timeout_rejects_nonfinite_delays(delay):
         env.timeout(delay)
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf")])
+def test_run_rejects_nonfinite_until(until):
+    env = Environment()
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        env.call_at(t, fired.append, t)
+    with pytest.raises(SimulationError, match="finite"):
+        env.run(until=until)
+    assert env.now == 0.0  # nothing ran, no sentinel was pushed
+    assert fired == [] and len(env) == 3
+
+
 def test_nan_delay_error_message_mentions_finiteness():
     env = Environment()
     with pytest.raises(SimulationError, match="finite"):
@@ -280,7 +292,8 @@ def test_step_dispatches_callbacks():
     env = Environment()
     fired = []
     env.call_later(1.5, fired.append, "x")
-    env.step()
+    env.call_later(2.5, fired.append, "y")
+    assert env.advance(max_events=1) == 1
     assert fired == ["x"]
     assert env.now == 1.5
 
@@ -376,57 +389,16 @@ def test_fastpath_scenario_replays_identically():
 
 
 # ---------------------------------------------------------------------------
-# Batched dispatch: call_later_batch + the run-loop same-timestamp drain
+# Same-timestamp bursts through the one dispatch loop
 # ---------------------------------------------------------------------------
 
 
-def _scenario_fastpath_batched():
-    """The fastpath mini-scenario with every call_later as a batch of one.
-
-    ``call_later_batch`` reserves the same sequence numbers as the loop of
-    ``call_later`` calls it replaces, so even batches of one must replay to
-    the pinned digest bit-for-bit.
-    """
-    env = Environment()
-    trace = []
-    avail = [0.0]
-
-    def record_done(item):
-        trace.append((env.now, "done", item))
-
-    def serve(item):
-        start = max(env.now, avail[0])
-        finish = start + 0.7
-        avail[0] = finish
-        env.call_later_batch(finish - env.now, record_done, [item])
-
-    def arrive(token):
-        tag, i, period, count = token
-        trace.append((env.now, "arrive", (tag, i)))
-        serve((tag, i))
-        if i + 1 < count:
-            env.call_later_batch(period, arrive, [(tag, i + 1, period, count)])
-
-    env.call_later_batch(1.0, arrive, [("a", 0, 1.0, 10)])
-    env.call_later_batch(1.5, arrive, [("b", 0, 1.5, 8)])
-    env.call_later_batch(0.5, arrive, [("c", 0, 0.5, 14)])
-    env.run()
-    return _digest(trace), env.now
-
-
-def test_batched_scenario_matches_pinned_digest():
-    digest, end = _scenario_fastpath_batched()
-    assert digest == _PINNED_MINI_DIGEST
-    assert end == _scenario_fastpath()[1]
-
-
-def _window_scenario(use_batch):
+def _window_scenario():
     """Window-completion shape: bursts of same-timestamp callbacks.
 
     Each tick completes a window of items at one timestamp, interleaved
     with independent per-item callbacks scheduled before and after the
-    window — the layout where batch entries and the run-loop drain both
-    engage.  Built identically with call_later_batch or a call_later loop.
+    window.
     """
     env = Environment()
     trace = []
@@ -440,13 +412,9 @@ def _window_scenario(use_batch):
     def tick(round_no):
         if round_no >= 6:
             return
-        window = [(round_no, k) for k in range(5)]
         env.call_later(2.0, side, ("pre", round_no))
-        if use_batch:
-            env.call_later_batch(2.0, complete, window)
-        else:
-            for item in window:
-                env.call_later(2.0, complete, item)
+        for k in range(5):
+            env.call_later(2.0, complete, (round_no, k))
         env.call_later(2.0, side, ("post", round_no))
         env.call_later(2.0, tick, round_no + 1)
 
@@ -455,71 +423,18 @@ def _window_scenario(use_batch):
     return _digest(trace), env.now
 
 
-def test_call_later_batch_equals_call_later_loop():
-    loop_digest, loop_end = _window_scenario(use_batch=False)
-    batch_digest, batch_end = _window_scenario(use_batch=True)
-    assert batch_digest == loop_digest
-    assert batch_end == loop_end
+# Recorded when run() still drained same-timestamp runs on its own; the one
+# dispatch loop must order the bursts identically.
+_PINNED_WINDOW_DIGEST = "a370a20e93d442f844dc7531de1dc97d560d5f99b30d14835eee4e84b3e1cb3e"
 
 
-def test_call_later_batch_is_one_heap_entry():
-    env = Environment()
-    env.call_later_batch(1.0, lambda _: None, ["a", "b", "c"])
-    assert len(env) == 1  # the whole batch rides one heap entry
-    assert env.peek() == 1.0
+def test_window_bursts_match_pinned_digest():
+    assert _window_scenario() == (_PINNED_WINDOW_DIGEST, 12.0)
 
 
-def test_call_later_batch_empty_is_noop_but_validates_delay():
-    env = Environment()
-    env.call_later_batch(1.0, lambda _: None, [])
-    assert len(env) == 0
-    with pytest.raises(SimulationError):
-        env.call_later_batch(float("nan"), lambda _: None, [])
-    with pytest.raises(SimulationError):
-        env.call_later_batch(-1.0, lambda _: None, ["x"])
-
-
-def test_batch_preempted_by_same_timestamp_urgent():
-    """An URGENT entry scheduled *by* a batch member at the batch's own
-    timestamp must run before the remaining members — exactly as it would
-    between two call_later entries."""
-    for use_batch in (False, True):
-        env = Environment()
-        order = []
-
-        def member(tag, env=env, order=order):
-            order.append(tag)
-            if tag == "m0":
-                env.call_later(0.0, order.append, "urgent", priority=URGENT)
-
-        if use_batch:
-            env.call_later_batch(1.0, member, ["m0", "m1", "m2"])
-        else:
-            for tag in ("m0", "m1", "m2"):
-                env.call_later(1.0, member, tag)
-        env.run()
-        assert order == ["m0", "urgent", "m1", "m2"], use_batch
-
-
-def test_batch_normal_scheduling_does_not_preempt():
-    """Same-timestamp NORMAL entries scheduled mid-batch carry later seqs
-    and must run after the batch completes."""
-    env = Environment()
-    order = []
-
-    def member(tag):
-        order.append(tag)
-        if tag == "m0":
-            env.call_later(0.0, order.append, "later")
-
-    env.call_later_batch(1.0, member, ["m0", "m1"])
-    env.run()
-    assert order == ["m0", "m1", "later"]
-
-
-def test_batch_exception_pushes_back_undispatched_tail():
-    """A member that raises must leave the rest of the batch on the heap so
-    a later run() resumes exactly where the first stopped."""
+def test_exception_leaves_queue_resumable():
+    """A callback that raises must leave every other entry queued, so a
+    later run() resumes exactly where the first stopped."""
     env = Environment()
     ran = []
 
@@ -528,11 +443,12 @@ def test_batch_exception_pushes_back_undispatched_tail():
             raise RuntimeError("boom")
         ran.append(tag)
 
-    env.call_later_batch(1.0, member, ["a", "boom", "b", "c"])
+    for tag in ("a", "boom", "b", "c"):
+        env.call_later(1.0, member, tag)
     with pytest.raises(RuntimeError):
         env.run()
     assert ran == ["a"]
-    env.run()  # resumes with the pushed-back tail ("b", "c")
+    env.run()
     assert ran == ["a", "b", "c"]
 
 
@@ -567,47 +483,3 @@ def test_drain_falls_back_on_earlier_sorting_entry():
     env.run()
     assert order == ["first", "urgent", "second", "third"]
 
-
-def test_batch_args_sequence_is_owned_not_copied():
-    """The engine takes ownership of the args sequence; a tuple works too."""
-    env = Environment()
-    seen = []
-    env.call_later_batch(1.0, seen.append, ("x", "y"))
-    env.run()
-    assert seen == ["x", "y"]
-
-
-# ---------------------------------------------------------------------------
-# Tracer lazy payloads (satellite: no payload construction when disabled)
-# ---------------------------------------------------------------------------
-
-
-def test_tracer_lazy_payload_not_built_when_disabled():
-    from repro.simcore.trace import Tracer
-
-    calls = []
-
-    def thunk():
-        calls.append(1)
-        return {"expensive": True}
-
-    t = Tracer(enabled=False)
-    t.emit(0.0, "src", "kind", thunk)
-    assert calls == []  # never invoked
-    assert t.records == []
-
-    t = Tracer(enabled=True)
-    t.emit(1.0, "src", "kind", thunk)
-    assert calls == [1]
-    assert t.records[0].payload == {"expensive": True}
-
-
-def test_tracer_lazy_payload_not_built_past_limit():
-    from repro.simcore.trace import Tracer
-
-    calls = []
-    t = Tracer(enabled=True, limit=1)
-    t.emit(0.0, "s", "k", lambda: calls.append(1) or "p1")
-    t.emit(1.0, "s", "k", lambda: calls.append(2) or "p2")
-    assert len(t.records) == 1
-    assert calls == [1]
