@@ -4,9 +4,10 @@
 Starts the control plane in-process on an ephemeral port, then acts as a
 remote client:
 
-  1. submit the library's QoS-guard scenario program as JSON,
-  2. long-poll live telemetry while the run progresses — per-tenant
-     goodput, streaming p99, and SLO verdicts straight from the QoS plane,
+  1. submit the fig7 cell program (with an SLO on ls0) as JSON, parked,
+  2. advance it to three virtual instants and read the telemetry snapshot
+     each one leaves — per-tenant goodput, streaming p99, and SLO verdicts
+     straight from the QoS plane,
   3. inject an ``slo_change`` at a future virtual time (tightening ls0's
      ceiling mid-run, exactly like an operator amending a tenant contract),
   4. pause the session, serialize a checkpoint, restore it as a *new*
@@ -32,24 +33,23 @@ def main() -> None:
         client = ServiceClient(server.host, server.port)
         print(f"service up at {server.address}: {client.health()}")
 
-        session_id = client.submit(program)
+        # Submitted parked: only advance calls move its virtual clock, so the
+        # walk below is the same on any host, however fast.
+        session_id = client.submit(program, start=False)
         print(f"submitted {program['name']!r} as session {session_id}")
 
-        # Stream a few telemetry snapshots while the run is live.
-        cursor, seen = 0, 0
-        while seen < 3:
-            cursor, snapshots = client.telemetry(session_id, cursor=cursor, wait_ms=2_000)
+        # Step to three virtual instants, reading the snapshot each leaves.
+        cursor = 0
+        for until_us in (500.0, 1_000.0, 1_500.0):
+            client.advance(session_id, until_us=until_us)
+            cursor, snapshots = client.telemetry(session_id, cursor=cursor)
             for snap in snapshots:
-                seen += 1
                 qos = snap["qos"] or {}
                 verdicts = {t: v["slo_violated"] for t, v in qos.items() if v["slo"]}
                 print(
                     f"  t={snap['at_us']:9.1f}us phase={snap['phase']:<8} "
                     f"steps={snap['steps']:<6} slo_verdicts={verdicts}"
                 )
-                if snap["state"] in ("finished", "failed"):
-                    seen = 3
-                    break
 
         # Tighten ls0's ceiling at a future virtual instant.
         client.inject(

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 from ..config import network_tuning, preset_for_network
 from ..core.flags import Priority
 from ..cpu.costs import CpuCostModel, DEFAULT_COSTS
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..metrics.collector import Collector
 from ..metrics.report import jain_fairness
 from ..net.topology import Fabric
@@ -307,33 +307,6 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-@dataclass
-class _Prepared:
-    """Live handles produced by :meth:`Scenario._prepare` and consumed by
-    the run-lifecycle stages (the blocking ``run()`` and the service
-    layer's budgeted sessions)."""
-
-    connect_events: List[object]
-    start_delays: List[float]
-    tc_generators: List[PerfGenerator]
-    ls_generators: List[PerfGenerator]
-
-
-@dataclass
-class _RunPhase:
-    """Measurement-window bookkeeping between workload launch and quiesce.
-
-    Produced by :meth:`Scenario._on_connected`, consumed by
-    :meth:`Scenario._on_quota_done` — the two lifecycle hooks shared by the
-    blocking ``run()`` and the incremental session driver
-    (``repro.service.session``), so both execute the identical transition
-    code at the identical engine state."""
-
-    workload_start: float
-    marker_armed: List[bool]
-    quota_barrier: object  # AllOf over the quota generators' done events
-
-
 class Scenario:
     """Builder + runner for one simulated experiment."""
 
@@ -376,11 +349,18 @@ class Scenario:
         self.generators_by_name: Dict[str, PerfGenerator] = {}
         self.initiators_by_name: Dict[str, object] = {}
         self._ran = False
-        #: Set by :meth:`_launch_workload`: scripted actions registered after
-        #: this point could never fire, so :meth:`at_workload_time` rejects
-        #: them.  (Between ``_prepare`` and launch they are still legal — the
-        #: service layer injects mid-session actions in that gap.)
-        self._workload_launched = False
+        # Lifecycle state, advanced by the barrier callbacks on the heap.
+        self._tc_generators: List[PerfGenerator] = []
+        self._ls_generators: List[PerfGenerator] = []
+        #: Engine time the handshakes completed and the workload launched
+        #: (None before).  Scripted actions registered after launch could
+        #: never fire, so :meth:`at_workload_time` rejects them; between
+        #: ``_prepare`` and launch they are still legal — the service layer
+        #: injects mid-session actions in that gap.
+        self.workload_start: Optional[float] = None
+        #: Set when the quota barrier closes the measurement window and the
+        #: open-ended tenants stop; from then on the queue drains dry.
+        self.quiesced = False
 
     # -- construction ----------------------------------------------------------------
     def add_target_node(self, name: Optional[str] = None, n_ssds: int = 1) -> TargetNode:
@@ -428,7 +408,7 @@ class Scenario:
         callbacks fire in registration order, after any same-time staged
         tenant start.
         """
-        if self._workload_launched:
+        if self.workload_start is not None:
             raise ConfigError(
                 "scenario already ran; script actions before the workload launches"
             )
@@ -459,74 +439,82 @@ class Scenario:
 
     # -- execution -----------------------------------------------------------------------
     def run(self) -> ScenarioResult:
-        prep = self._prepare()
-        env = self.env
+        """Build, run until the event queue drains, and return the result.
 
-        # Handshakes first, then workloads, then the measurement window.
-        env.run(until=env.all_of(prep.connect_events))
-        phase = self._on_connected(prep)
-        env.run(until=phase.quota_barrier)
-        self._on_quota_done(prep, phase)
-        env.run()
+        The lifecycle rides the heap: the handshake barrier launches the
+        workload (:meth:`_on_connected`) and the quota barrier quiesces it
+        (:meth:`_on_quota_done`), so one plain ``env.run()`` — or any
+        sequence of budgeted ``env.advance()`` slices — drives it all."""
+        self._prepare()
+        self.env.run()
+        return self._sealed_result()
+
+    def _sealed_result(self) -> ScenarioResult:
+        """The result of a run whose event queue has drained.
+
+        Raises :class:`SimulationError` when the queue emptied before the
+        scenario quiesced: a barrier never triggered (e.g. chaos without a
+        retry policy lost a command), so the run cannot progress."""
+        if not self.quiesced:
+            barrier = "quota" if self.workload_start is not None else "connect"
+            raise SimulationError(
+                f"the event queue drained before the {barrier} barrier "
+                f"triggered; the scenario cannot progress"
+            )
         return self._build_result()
 
-    def _on_connected(self, prep: "_Prepared") -> "_RunPhase":
-        """Handshake-complete transition: launch the workload, arm the
-        warmup marker, and build the quota barrier.
+    def _on_connected(self, _barrier: object) -> None:
+        """Handshake-barrier callback: launch the workload, arm the warmup
+        marker, and hang :meth:`_on_quota_done` on the quota barrier.
 
-        Shared verbatim by ``run()`` and the budgeted session driver: every
-        engine allocation here (the marker process, the barrier condition)
-        happens at the same simulated time and in the same order regardless
-        of which driver reached the transition, so sequence numbers — and
-        therefore replay order — are identical."""
+        It runs while the barrier's heap entry is dispatched, before any
+        other entry, so every allocation here lands on the same sequence
+        numbers whichever driver dispatches the heap."""
         env = self.env
-        cfg = self.config
-        workload_start = env.now
-        self._launch_workload(prep)
+        self.workload_start = env.now
+        self._launch_workload()
+        env.process(self._warmup_marker())
+        quota_gens = self._tc_generators or self._ls_generators
+        env.all_of([g.done for g in quota_gens]).callbacks.append(self._on_quota_done)
 
-        marker_armed = [True]
+    def _warmup_marker(self):
+        yield self.env.timeout(self.config.warmup_us)
+        # A run that fit inside the warmup has already quiesced: the marker
+        # must not clobber the window it closed.
+        if not self.quiesced:
+            self.collector.start_measuring()
 
-        def warmup_marker(env):
-            yield env.timeout(cfg.warmup_us)
-            if marker_armed[0]:
-                self.collector.start_measuring()
-
-        env.process(warmup_marker(env))
-
-        quota_gens = prep.tc_generators if prep.tc_generators else prep.ls_generators
-        return _RunPhase(
-            workload_start=workload_start,
-            marker_armed=marker_armed,
-            quota_barrier=env.all_of([g.done for g in quota_gens]),
-        )
-
-    def _on_quota_done(self, prep: "_Prepared", phase: "_RunPhase") -> None:
-        """Quota-complete transition: close the measurement window and
-        quiesce (the final ``env.run()`` drain is the caller's)."""
+    def _on_quota_done(self, _barrier: object) -> None:
+        """Quota-barrier callback: close the measurement window and quiesce,
+        so the rest of the run drains in-flight work."""
         env = self.env
-        # Disarm the marker: if the whole run fit inside the warmup it must
-        # not clobber the window during the quiesce phase below.
-        phase.marker_armed[0] = False
+        start = self.workload_start
+        self.quiesced = True
         self.collector.stop_measuring()
         # Guard against degenerate measurement windows.  Coalesced
         # completions land in window-sized bursts, so a window that covers
         # only a sliver of the run (warmup ~ run length) would measure one
         # burst and report a nonsense rate.  Fall back to the full workload
         # interval when the warmup consumed most of the run.
-        workload_duration = env.now - phase.workload_start
-        if self.collector.elapsed_us() < 0.3 * workload_duration:
-            self.collector.set_window(phase.workload_start, env.now)
-        self.collector.ensure_window(fallback_start=phase.workload_start)
+        if self.collector.elapsed_us() < 0.3 * (env.now - start):
+            self.collector.set_window(start, env.now)
+        self.collector.ensure_window(fallback_start=start)
 
-        # Quiesce: stop open-ended tenants and let in-flight work land.
-        self._quiesce(prep)
+        # Quiesce: stop open-ended tenants and let in-flight work land.  The
+        # controller stops first — a still-armed tick would reschedule
+        # itself forever and the drain would never finish.
+        if self.qos_controller is not None:
+            self.qos_controller.stop()
+        if self._tc_generators:
+            for gen in self._ls_generators:
+                gen.stop()
 
-    def _prepare(self) -> "_Prepared":
-        """Build every live component up to (but excluding) the handshakes.
+    def _prepare(self) -> None:
+        """Build every live component and the handshake barrier, which
+        carries :meth:`_on_connected`.
 
-        Shared by ``run()`` and the budgeted session driver: all
-        construction-order-sensitive allocation (tenant ids, connection ids,
-        RNG stream derivation, event sequence numbers) happens here in
+        All construction-order-sensitive allocation (tenant ids, connection
+        ids, RNG stream derivation, event sequence numbers) happens here in
         declaration order.
         """
         if self._ran:
@@ -554,9 +542,6 @@ class Scenario:
 
         # Instantiate initiators + workloads.
         connect_events = []
-        start_delays: List[float] = []
-        tc_generators: List[PerfGenerator] = []
-        ls_generators: List[PerfGenerator] = []
         for spec, inode, tnode, nsid in self._tenant_assignments:
             initiator = inode.add_initiator(
                 spec.name,
@@ -593,7 +578,6 @@ class Scenario:
                     )
                 )
             connect_events.append(initiator.connect())
-            start_delays.append(spec.start_delay_us)
             is_ls = spec.priority is Priority.LATENCY
             if spec.total_ops is not None:
                 total = spec.total_ops
@@ -617,7 +601,7 @@ class Scenario:
                 rng=self.streams.stream(f"workload/{spec.name}"),
                 namespace_blocks=cfg.namespace_blocks,
             )
-            (ls_generators if is_ls else tc_generators).append(gen)
+            (self._ls_generators if is_ls else self._tc_generators).append(gen)
             self.generators.append(gen)
             self.generators_by_name[spec.name] = gen
             self.initiators_by_name[spec.name] = initiator
@@ -640,24 +624,19 @@ class Scenario:
                 interval_us=cfg.qos_interval_us,
             )
 
-        return _Prepared(
-            connect_events=connect_events,
-            start_delays=start_delays,
-            tc_generators=tc_generators,
-            ls_generators=ls_generators,
-        )
+        env.all_of(connect_events).callbacks.append(self._on_connected)
 
-    def _launch_workload(self, prep: "_Prepared") -> None:
+    def _launch_workload(self) -> None:
         """Arm everything that starts at workload onset (``env.now`` = the
         handshake-complete anchor)."""
         cfg = self.config
         env = self.env
-        self._workload_launched = True
         if self.injector is not None and cfg.chaos_epoch == "workload":
             self.injector.start()
         if self.qos_controller is not None:
             self.qos_controller.start()
-        for gen, delay in zip(self.generators, prep.start_delays):
+        for gen, (spec, _i, _t, _n) in zip(self.generators, self._tenant_assignments):
+            delay = spec.start_delay_us
             if delay > 0.0:
                 # Staged arrival (e.g. a mid-run TC burst): the generator's
                 # done event exists from construction, so quota accounting
@@ -669,16 +648,6 @@ class Scenario:
         # a same-time join fires before any leave/actuator touching it.
         for delay, fn in self._scripted:
             env.call_later(delay, _invoke_scripted, fn)
-
-    def _quiesce(self, prep: "_Prepared") -> None:
-        """Stop open-ended tenants so the final drain runs dry.  The
-        controller stops first — a still-armed tick would reschedule itself
-        forever and the drain would never finish."""
-        if self.qos_controller is not None:
-            self.qos_controller.stop()
-        if prep.tc_generators:
-            for gen in prep.ls_generators:
-                gen.stop()
 
     # -- chaos wiring ----------------------------------------------------------------------
     def _build_injector(self, schedule: "FaultSchedule") -> "Injector":

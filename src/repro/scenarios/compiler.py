@@ -295,16 +295,20 @@ class CompiledProgram:
                 "a compiled program can only run once; compile a fresh one"
             )
         self._ran = True
-        result = self.scenario.run()
-        run = ProgramRun(
+        return self.seal(self.scenario.run(), check_invariants)
+
+    def seal(self, result: ScenarioResult, check_invariants: bool = True) -> ProgramRun:
+        """Wrap the scenario's finished ``result`` as a :class:`ProgramRun`,
+        checking the post-run invariants unless told not to.  Both drivers
+        seal here: :meth:`run` and a hosted ``SimSession``."""
+        if check_invariants:
+            check_all(self.scenario, result, context=self.program.name)
+        return ProgramRun(
             program=self.program,
             scenario=self.scenario,
             result=result,
             checkpoints=list(self.checkpoints),
         )
-        if check_invariants:
-            check_all(self.scenario, result, context=self.program.name)
-        return run
 
 
 def compile_program(program: ScenarioProgram) -> CompiledProgram:

@@ -128,6 +128,14 @@ class ServiceClient:
             body={"action": action, "at_us": at_us},
         )
 
+    def advance(self, session_id: str, until_us: float) -> Dict[str, object]:
+        """Run the session until engine time ``until_us`` and return its
+        status.  A created session starts; one submitted with
+        ``start=False`` then stays parked there until :meth:`resume`."""
+        return self._request(
+            "POST", f"/sessions/{session_id}/advance", body={"until_us": until_us}
+        )
+
     def pause(self, session_id: str) -> Dict[str, object]:
         return self._request("POST", f"/sessions/{session_id}/pause", body={})
 

@@ -10,6 +10,8 @@ GET    ``/sessions/{id}``                 one session's status
 GET    ``/sessions/{id}/telemetry``       per-tenant QoS snapshots; ``?cursor=N``
                                           + ``?wait_ms=M`` long-polls for news
 POST   ``/sessions/{id}/actions``         inject an action at future virtual time
+POST   ``/sessions/{id}/advance``         run on the request thread up to engine
+                                          time ``{"until_us": T}``
 POST   ``/sessions/{id}/pause``           cooperative pause
 POST   ``/sessions/{id}/resume``          resume a created/paused session
 POST   ``/sessions/{id}/checkpoint``      serialize a paused session
@@ -43,7 +45,7 @@ MAX_WAIT_MS = 30_000
 
 _SESSION_ROUTE = re.compile(
     r"^/sessions/(?P<id>[A-Za-z0-9_.-]+)"
-    r"(?:/(?P<verb>telemetry|actions|pause|resume|checkpoint|result))?$"
+    r"(?:/(?P<verb>telemetry|actions|advance|pause|resume|checkpoint|result))?$"
 )
 
 
@@ -182,6 +184,13 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             record = manager.get(session_id).inject(body["action"], body["at_us"])
             return 200, {"id": session_id, "injected": record.to_dict()}
+        if verb == "advance" and method == "POST":
+            body = self._body()
+            if "until_us" not in body:
+                raise _ApiError(400, "advance needs {'until_us': t}")
+            session = manager.get(session_id)
+            session.advance(until_us=body["until_us"])
+            return 200, session.status()
         if verb == "pause" and method == "POST":
             return 200, manager.pause(session_id).status()
         if verb == "resume" and method == "POST":

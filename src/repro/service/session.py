@@ -10,8 +10,10 @@ host them concurrently.  Between slices the session is inert: callers read
 telemetry snapshots, inject future-time actions, pause it, or serialize a
 checkpoint.
 
-Determinism is the load-bearing property.  The slice loop dispatches the
-exact heap entries ``env.run()`` would, in the same order, allocating zero
+Determinism is the load-bearing property.  The scenario's lifecycle
+(handshakes, workload launch, quiesce) rides the heap as barrier callbacks,
+so the slice loop is ``Scenario.run()``'s own ``env.run()``, only budgeted:
+it dispatches the exact heap entries in the same order, allocating zero
 extra engine state — so a session's sealed digest is bit-identical to
 running the same program through :func:`repro.scenarios.compiler.replay`.
 Checkpoints exploit this: a checkpoint is just the program, the seed it
@@ -42,7 +44,6 @@ from ..scenarios.actions import (
     action_from_dict,
 )
 from ..scenarios.compiler import ProgramRun, compile_program
-from ..scenarios.invariants import check_all
 from ..scenarios.program import BURST_SEP, ScenarioProgram
 from ..cluster.scenario import _invoke_scripted
 
@@ -60,19 +61,6 @@ ST_PAUSED = "paused"
 ST_DRAINING = "draining"
 ST_FINISHED = "finished"
 ST_FAILED = "failed"
-
-# Internal run phases, mirroring the serial run()'s barriers.
-_PH_CONNECT = 0  # handshakes in flight
-_PH_QUOTA = 1  # workload running, waiting on the quota barrier
-_PH_DRAIN = 2  # quiesced, letting the event queue empty
-_PH_DONE = 3  # result sealed
-
-_PHASE_NAMES = {
-    _PH_CONNECT: "connect",
-    _PH_QUOTA: "workload",
-    _PH_DRAIN: "drain",
-    _PH_DONE: "done",
-}
 
 
 class SessionNotFound(ServiceError):
@@ -146,14 +134,11 @@ class SimSession:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._status = ST_CREATED
-        self._phase = _PH_CONNECT
         self._pause_requested = False
         self.error: Optional[str] = None
 
         #: Replay cursor: heap entries dispatched so far.
         self.steps = 0
-        self.workload_start: Optional[float] = None
-        self._run_phase = None
         #: All injections applied to this timeline, in application order.
         self.injections: List[InjectionRecord] = []
         #: Records restored from a checkpoint, waiting for their cursor.
@@ -168,20 +153,35 @@ class SimSession:
         self.digest_sha256: Optional[str] = None
 
         # Build every live component and the handshake barrier now, exactly
-        # as the serial run() would: a freshly created session is the
+        # as Scenario.run() does: a freshly created session is the
         # zero-step point of the canonical timeline.
-        self._prep = self.scenario._prepare()
-        self._barrier = self.env.all_of(self._prep.connect_events)
+        self.scenario._prepare()
 
     # -- state ----------------------------------------------------------------
     @property
+    def workload_start(self) -> Optional[float]:
+        """Engine time the workload launched (None during the handshakes)."""
+        return self.scenario.workload_start
+
+    @property
     def state(self) -> str:
-        """Public lifecycle state (``running`` in the drain phase reads as
-        ``draining`` so dashboards can tell work from cleanup)."""
+        """Public lifecycle state (``running`` once the scenario has
+        quiesced reads as ``draining`` so dashboards can tell work from
+        cleanup)."""
         status = self._status
-        if status == ST_RUNNING and self._phase == _PH_DRAIN:
+        if status == ST_RUNNING and self.scenario.quiesced:
             return ST_DRAINING
         return status
+
+    @property
+    def phase(self) -> str:
+        """Where the scenario lifecycle stands: ``connect`` (handshakes),
+        ``workload`` (quota running), ``drain`` (quiesced) or ``done``."""
+        if self._status == ST_FINISHED:
+            return "done"
+        if self.scenario.quiesced:
+            return "drain"
+        return "connect" if self.workload_start is None else "workload"
 
     @property
     def finished(self) -> bool:
@@ -242,7 +242,17 @@ class SimSession:
         :meth:`pause` request between chunks).  ``stop_on_checkpoint``
         single-steps and halts right after a ``checkpoint`` action fires —
         the determinism suite uses it to snapshot at exact cursors.
+        ``until_us`` is engine time (not workload-relative) and must be a
+        finite number >= 0.
         """
+        if until_us is not None and (
+            isinstance(until_us, bool)
+            or not isinstance(until_us, (int, float))
+            or not 0.0 <= until_us < float("inf")
+        ):
+            raise ServiceError(
+                f"key 'until_us' must be a finite number >= 0 (got {until_us!r})"
+            )
         with self._cond:
             if self._status == ST_CREATED:
                 self._status = ST_RUNNING
@@ -286,26 +296,26 @@ class SimSession:
         stop_on_checkpoint: bool,
     ) -> int:
         try:
-            return self._step_phases(max_events, until_us, stop_on_checkpoint)
+            return self._step(max_events, until_us, stop_on_checkpoint)
         except ReproError as exc:
             self._fail(exc)
         except Exception as exc:  # pragma: no cover - defensive seal
             self._fail(exc)
         return 0
 
-    def _step_phases(
+    def _step(
         self,
         max_events: Optional[int],
         until_us: Optional[float],
         stop_on_checkpoint: bool,
     ) -> int:
-        """The incremental mirror of ``Scenario.run()``.
+        """Dispatch budgeted slices of the heap until the budget, horizon or
+        a pause stops them, sealing the result once the queue is empty.
 
-        Each iteration either performs a phase transition (calling the same
-        lifecycle hooks the blocking path calls, at the same engine state)
-        or dispatches a bounded batch of heap entries.  Restored injections
-        are re-applied exactly when the step cursor reaches their recorded
-        position, never inside a batch — the batch cap shrinks to the gap.
+        The scenario's lifecycle transitions ride the heap as barrier
+        callbacks, so this loop knows no phases.  Restored injections are
+        re-applied exactly when the step cursor reaches their recorded
+        position, never inside a slice — the slice cap shrinks to the gap.
         """
         env = self.env
         budget = max_events
@@ -315,9 +325,7 @@ class SimSession:
         processed = 0
         n_checkpoints = len(self.compiled.checkpoints)
 
-        while self._status == ST_RUNNING and self._phase != _PH_DONE:
-            if self._pause_requested:
-                break
+        while self._status == ST_RUNNING and not self._pause_requested:
             if budget is not None and budget <= 0:
                 break
 
@@ -330,6 +338,10 @@ class SimSession:
                     )
                 self._apply_record(record)
 
+            if not len(env):
+                self._finish()
+                break
+
             cap = budget
             if self._replay:
                 gap = self._replay[0].at_step - self.steps
@@ -337,28 +349,7 @@ class SimSession:
             if stop_on_checkpoint:
                 cap = 1 if cap is None else min(cap, 1)
 
-            if self._phase == _PH_CONNECT:
-                barrier = self._barrier
-                if barrier.processed:
-                    self._run_phase = self.scenario._on_connected(self._prep)
-                    self.workload_start = self._run_phase.workload_start
-                    self._phase = _PH_QUOTA
-                    continue
-                n = env.advance(max_events=cap, until_time=horizon, stop=barrier)
-            elif self._phase == _PH_QUOTA:
-                barrier = self._run_phase.quota_barrier
-                if barrier.processed:
-                    self.scenario._on_quota_done(self._prep, self._run_phase)
-                    self._phase = _PH_DRAIN
-                    continue
-                n = env.advance(max_events=cap, until_time=horizon, stop=barrier)
-            else:  # _PH_DRAIN
-                if not len(env):
-                    self._finish()
-                    continue
-                barrier = None
-                n = env.advance(max_events=cap, until_time=horizon)
-
+            n = env.advance(max_events=cap, until_time=horizon)
             self.steps += n
             processed += n
             if budget is not None:
@@ -366,30 +357,15 @@ class SimSession:
             if stop_on_checkpoint and len(self.compiled.checkpoints) > n_checkpoints:
                 break
             if n == 0:
-                if barrier is not None and not len(env):
-                    raise ServiceError(
-                        f"session {self.id!r}: event queue drained before the "
-                        f"{_PHASE_NAMES[self._phase]} barrier triggered; the "
-                        f"scenario cannot progress"
-                    )
                 break  # horizon reached (queue head beyond until_us)
         return processed
 
     def _finish(self) -> None:
-        result = self.scenario._build_result()
-        run = ProgramRun(
-            program=self.program,
-            scenario=self.scenario,
-            result=result,
-            checkpoints=list(self.compiled.checkpoints),
-        )
-        if self.check_invariants:
-            check_all(self.scenario, result, context=self.program.name)
+        run = self.compiled.seal(self.scenario._sealed_result(), self.check_invariants)
         digest = run.digest()
         self._result_run = run
         self.digest = digest
         self.digest_sha256 = hashlib.sha256(digest.encode()).hexdigest()
-        self._phase = _PH_DONE
         self._status = ST_FINISHED
 
     # -- injection ------------------------------------------------------------
@@ -416,7 +392,7 @@ class SimSession:
                 raise ServiceError(
                     f"key 'at_us' must be a number (got {at_us!r})"
                 ) from None
-            pre_launch = not self.scenario._workload_launched
+            pre_launch = self.workload_start is None
             self._validate_injection(act, at, pre_launch)
             record = InjectionRecord(
                 action=act.to_dict(),
@@ -541,7 +517,7 @@ class SimSession:
         snapshot: Dict[str, object] = {
             "seq": self._snapshot_seq,
             "state": self.state,
-            "phase": _PHASE_NAMES[self._phase],
+            "phase": self.phase,
             "at_us": self.env.now,
             "steps": self.steps,
             "workload_us": (
@@ -591,7 +567,7 @@ class SimSession:
             return {
                 "id": self.id,
                 "state": self.state,
-                "phase": _PHASE_NAMES[self._phase],
+                "phase": self.phase,
                 "program": self.program.name,
                 "steps": self.steps,
                 "virtual_us": self.env.now,
@@ -730,7 +706,7 @@ class SimSession:
         with session._cond:
             session._status = ST_RUNNING
             n = (
-                session._step_phases(
+                session._step(
                     max_events=steps, until_us=None, stop_on_checkpoint=False
                 )
                 if steps

@@ -25,6 +25,10 @@ order.
 
 Every entry leaves the heap in one place, :meth:`Environment.advance`;
 :meth:`Environment.run` finds or builds its stop event and calls it.
+Drivers step a run in budgeted ``advance`` slices or drain it with one
+``run()`` and see the same timeline: state changes a run needs at a given
+moment (a scenario's workload launch and quiesce) ride the heap as event
+callbacks, not as driver code between slices.
 
 Typical usage::
 
@@ -54,48 +58,19 @@ Infinity = float("inf")
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Cap on pooled Timeout objects kept for reuse (bounds memory after bursts).
-_POOL_LIMIT = 1024
-
-_RESUME = Process._resume  # the one callback whose events are pool-safe
-
 
 def _process_event(event: Event) -> None:
     """Uniform-dispatch shim: process one triggered :class:`Event`.
 
-    Runs the event's callbacks, re-raises unhandled failures, and recycles
-    pool-managed timeouts whose sole consumer was a process resume (the only
-    case where no live reference can observe the object afterwards — a
-    condition or a second waiter would appear as an extra callback).
+    Runs the event's callbacks and re-raises unhandled failures.
     """
     callbacks = event.callbacks
     if callbacks is None:  # pragma: no cover - defensive
         raise SimulationError(f"{event!r} processed twice")
     event.callbacks = None
-    if len(callbacks) == 1:
-        # Single consumer — the overwhelmingly common case on hot paths.
-        callback = callbacks[0]
+    for callback in callbacks:
         callback(event)
-        if event._ok:
-            if event._pooled:
-                try:
-                    is_resume = callback.__func__ is _RESUME
-                except AttributeError:
-                    is_resume = False
-                if is_resume:
-                    event._value = None
-                    pool = event.env._timeout_pool
-                    if len(pool) < _POOL_LIMIT:
-                        callbacks.clear()
-                        event._spare = callbacks
-                        pool.append(event)
-            return
-    else:
-        for callback in callbacks:
-            callback(event)
-        if event._ok:
-            return
-    if not event._defused:
+    if not event._ok and not event._defused:
         # An unhandled failure (e.g. a process crashed and nobody was
         # waiting on it) aborts the simulation loudly rather than being
         # silently dropped.
@@ -105,7 +80,7 @@ def _process_event(event: Event) -> None:
 class Environment:
     """Execution environment for a single simulation run."""
 
-    __slots__ = ("now", "_queue", "_seq", "_timeout_pool")
+    __slots__ = ("now", "_queue", "_seq")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self.now = float(initial_time)
@@ -113,8 +88,6 @@ class Environment:
         # A plain int, not itertools.count: hot schedule sites (``Link.send``)
         # take a sequence number inline.
         self._seq = 0
-        #: Free list of recycled :class:`Timeout` objects (see ``timeout()``).
-        self._timeout_pool: List[Timeout] = []
 
     # -- clock & introspection -----------------------------------------------
     # ``now`` is a plain data attribute, not a property: the clock is read on
@@ -200,10 +173,9 @@ class Environment:
         This is the engine's only dispatch loop: :meth:`run` is a thin
         wrapper around it, and the service control plane multiplexes
         sessions on budgeted slices of it.  Each entry is one pop, a clock
-        set and ``fn(arg)``, so interleaving ``advance`` calls with
-        phase-transition code between them replays bit-identically to one
-        uninterrupted :meth:`run` — the budget boundaries are invisible to
-        the simulation.  An exhausted budget simply returns; the queue stays
+        set and ``fn(arg)``, so a sequence of ``advance`` calls replays
+        bit-identically to one uninterrupted :meth:`run` — the budget
+        boundaries are invisible to the simulation.  An exhausted budget simply returns; the queue stays
         resumable, also after a callback raises.  Nothing is registered on
         ``stop`` (the loop polls :attr:`Event.processed`), so a budgeted
         driver adds zero heap entries and zero sequence numbers.
@@ -243,10 +215,6 @@ class Environment:
             stop: Optional[Event] = None
         elif isinstance(until, Event):
             stop = until
-            # Keep a pending stop event out of the Timeout pool: its value
-            # is read after it has been processed.
-            if stop.callbacks is not None:
-                stop._pooled = False
         else:
             at = float(until)
             if not self.now <= at < Infinity:
@@ -280,37 +248,22 @@ class Environment:
         return Process(self, generator, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires after ``delay`` microseconds.
-
-        Returned objects are **pool-managed**: once the timeout has resumed
-        the single process that yielded it, the engine may recycle the object
-        for a later ``timeout()`` call.  Keep the yielded *value*, not the
-        Timeout object — inspecting a consumed Timeout is undefined.  (Plain
-        ``Timeout(env, delay)`` construction opts out of pooling.)
-        """
+        """An event that fires after ``delay`` microseconds."""
         if not 0.0 <= delay < Infinity:
             raise self._bad_delay(delay)
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-            t.callbacks = t._spare
-            t._value = value
-            t.delay = delay
-        else:
-            t = Timeout.__new__(Timeout)
-            t.env = self
-            t.callbacks = []
-            t._value = value
-            t._ok = True
-            t._defused = False
-            t._pooled = True
-            t.delay = delay
+        # Built inline: the same object and heap entry as ``Timeout(self,
+        # delay, value)`` without its three nested Python calls, which cost
+        # about a third of the generator microbenchmark's throughput.
+        t = Timeout.__new__(Timeout)
+        t.env = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._defused = False
+        t.delay = delay
         seq = self._seq
         self._seq = seq + 1
-        _heappush(
-            self._queue,
-            (self.now + delay, NORMAL, seq, _process_event, t),
-        )
+        _heappush(self._queue, (self.now + delay, NORMAL, seq, _process_event, t))
         return t
 
     def event(self) -> Event:

@@ -36,8 +36,9 @@ class Process(Event):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        # Hot-path caches: one bound-method/attribute lookup per process
-        # instead of one per resume (hundreds of thousands per run).
+        # One bound-method/attribute lookup per process instead of one per
+        # resume.  Processes are cold-path only: a figure scenario runs one
+        # (the warmup marker) and resumes it twice.
         self._send = generator.send
         self._throw = generator.throw
         self._resume_cb = self._resume

@@ -311,3 +311,19 @@ def test_ls_request_overtakes_queued_tc_window():
     assert all(r.done for r in tc_reqs)
     # Ordering on the wall clock: LS completed strictly first.
     assert ls_req.completed_at < min(r.completed_at for r in tc_reqs)
+
+
+def test_lost_commands_without_retry_fail_the_run_loudly():
+    """A target crash loses commands; with no retry policy the quota
+    barrier never triggers, and the drained queue is reported, not sealed."""
+    from repro.errors import SimulationError
+    from repro.faults import FaultSchedule
+
+    cfg = ScenarioConfig(
+        protocol="spdk",
+        total_ops=300,
+        chaos=FaultSchedule().target_crash("target0", at_us=1_100.0, duration_us=400.0),
+    )
+    scenario = Scenario.two_sided(cfg, tenants_for_ratio("1:2"))
+    with pytest.raises(SimulationError, match="drained before the quota barrier"):
+        scenario.run()

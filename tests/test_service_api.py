@@ -1,10 +1,10 @@
 """End-to-end HTTP API test against a live server on an ephemeral port.
 
-The acceptance path from the issue, verbatim: submit a fig7-style program
-(with SLOs, so ``slo_change`` is legal) over HTTP, stream at least three
-telemetry snapshots mid-run, inject an ``slo_change`` at a future virtual
-time, pause + checkpoint + resume, and prove the final sealed digest is
-bit-identical to running the same (amended) program directly through the
+The acceptance path: submit a fig7-style program (with SLOs, so
+``slo_change`` is legal) over HTTP, advance it to three virtual instants and
+stream a telemetry snapshot from each, inject an ``slo_change`` at a future
+virtual time, pause + checkpoint + resume, and prove the final sealed digest
+is bit-identical to running the same (amended) program directly through the
 compiler.  Plus the error-mapping contract: 404 for unknown sessions, 409
 for illegal transitions, 400 for malformed payloads.
 """
@@ -31,6 +31,9 @@ from repro.service import ServiceApiError, ServiceClient, ServiceServer
 #: event (see repro.service.session — pre-launch injections are exact
 #: unconditionally).
 INJECT_AT_US = 3_333.3
+
+#: Engine times the E2E test parks the session at, all mid-workload.
+ADVANCE_TO_US = (500.0, 1_000.0, 1_500.0)
 
 
 def slo_program_dict() -> dict:
@@ -64,17 +67,20 @@ def client(server):
 
 def test_e2e_submit_stream_inject_checkpoint_resume(client):
     truth = amended_digest()
-    session_id = client.submit(slo_program_dict())
+    # Not started: only the advance calls below move the clock, so the run
+    # cannot seal before the snapshots are read, however fast the host is.
+    session_id = client.submit(slo_program_dict(), start=False)
 
     # Stream >= 3 telemetry snapshots while the run is live.
     cursor, streamed = 0, []
-    while len(streamed) < 3:
-        cursor, snapshots = client.telemetry(session_id, cursor=cursor, wait_ms=5_000)
+    for until_us in ADVANCE_TO_US:
+        status = client.advance(session_id, until_us=until_us)
+        assert status["virtual_us"] <= until_us
+        cursor, snapshots = client.telemetry(session_id, cursor=cursor)
         streamed.extend(snapshots)
-        assert streamed and streamed[-1]["state"] not in ("finished", "failed"), (
-            "the run sealed before three mid-run snapshots arrived; "
-            "shrink slice_events"
-        )
+    assert len(streamed) >= 3
+    assert all(s["state"] == "running" for s in streamed)
+    assert all(s["phase"] == "workload" for s in streamed)
     assert [s["seq"] for s in streamed] == list(range(len(streamed)))
     live = streamed[-1]
     assert set(live["tenants"]) == {"ls0", "tc0", "tc1"}
@@ -147,6 +153,24 @@ def test_error_mapping_404_409_400(client):
         assert err.value.status == 400
         assert "at_us" in err.value.message
 
+    # advance: a malformed horizon is 400; a paused or finished session 409.
+    parked = client.submit(slo_program_dict(), start=False)
+    for until_us in ("soon", float("nan"), float("inf"), -1.0):
+        with pytest.raises(ServiceApiError) as err:
+            client.advance(parked, until_us=until_us)
+        assert err.value.status == 400
+        assert "until_us" in err.value.message
+    client.advance(parked, until_us=100.0)
+    client.pause(parked)
+    with pytest.raises(ServiceApiError) as err:
+        client.advance(parked, until_us=200.0)
+    assert err.value.status == 409
+    client.resume(parked)
+    assert client.wait(parked, timeout_s=120.0)["state"] == "finished"
+    with pytest.raises(ServiceApiError) as err:
+        client.advance(parked, until_us=1e9)
+    assert err.value.status == 409
+
 
 def test_malformed_program_error_names_the_action(client):
     data = slo_program_dict()
@@ -217,6 +241,11 @@ def test_query_and_body_validation(server, client):
     # Action injection needs both 'action' and 'at_us'.
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(f"{base}/sessions/{session_id}/actions", b"{}")
+    assert err.value.code == 400
+
+    # Advance needs 'until_us'.
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(f"{base}/sessions/{session_id}/advance", b"{}")
     assert err.value.code == 400
 
 

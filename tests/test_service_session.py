@@ -300,9 +300,11 @@ def test_manager_pause_checkpoint_restore_flow():
     direct = replay(fig7_cell_program()).digest()
     manager = SessionManager(workers=2, slice_events=256)
     try:
-        session = manager.submit(fig7_cell_program())
-        # Wait until the workload has made some progress, then freeze it.
-        session.telemetry(cursor=2, wait_s=30.0)
+        # Park the session mid-workload at an exact virtual instant, then
+        # freeze it: no wall-clock race with the worker pool.
+        session = manager.submit(fig7_cell_program(), start=False)
+        session.advance(until_us=500.0)
+        assert session.status()["phase"] == "workload"
         manager.pause(session.id)
         checkpoint = manager.checkpoint(session.id, label="mid")
         restored = manager.restore(json.loads(json.dumps(checkpoint)), start=True)
@@ -407,6 +409,29 @@ def test_start_and_cooperative_pause_request():
     session._pause_requested = True
     session.run_to_completion()
     assert session.state == "finished"
+
+
+def test_slice_ending_on_the_connect_barrier_returns_launched():
+    session = SimSession(slo_program())
+    while session.workload_start is None:
+        session.advance(max_events=1)
+    # The launch ran inside the barrier's own heap entry, so the one-entry
+    # slice that dispatched it already reports the workload phase, and an
+    # injection at this cursor is post-launch.
+    assert session.workload_start == session.env.now
+    assert session.phase == "workload"
+    record = session.inject(SloChange(tenant="ls0", p99_ceiling_us=900.0), at_us=5.0)
+    assert not record.pre_launch
+
+
+def test_queue_drained_before_quiesce_seals_the_session_as_failed():
+    session = SimSession(fig7_cell_program())
+    session.advance(max_events=5)
+    assert session.phase == "connect"
+    session.env._queue.clear()  # nothing left to trigger the connect barrier
+    session.advance()
+    assert session.state == "failed"
+    assert "drained before the connect barrier" in session.error
 
 
 def test_replay_overshoot_seals_the_session_as_failed():

@@ -307,9 +307,8 @@ def test_run_until_event_that_never_fires_raises():
     assert env.now == 1.0
 
 
-def test_run_until_pooled_timeout_returns_its_value():
-    """A timeout a process also waits on is pool-eligible; as the stop event
-    it must keep its value."""
+def test_run_until_shared_timeout_returns_its_value():
+    """A timeout a process also waits on keeps its value as the stop event."""
     env = Environment()
     t = env.timeout(5.0, value="v")
 

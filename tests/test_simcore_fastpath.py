@@ -1,11 +1,11 @@
-"""Tests for the callback fast path: call_later/call_at, pooling, determinism.
+"""Tests for the callback fast path: call_later/call_at, timeouts, determinism.
 
 The engine schedules two entry kinds on one heap — Events (process API) and
 plain callbacks (``call_later``/``call_at``).  These tests pin the contract
 that makes the fast path safe to use on hot paths:
 
 * callbacks and events share ``(time, priority, seq)`` tie-breaking exactly;
-* pooled Timeout recycling never resurrects a processed event;
+* a timeout fires exactly once per issue, also with several waiters;
 * delay validation rejects NaN/inf before they can corrupt heap ordering;
 * ``run(until=...)`` stops on time with callbacks still pending;
 * a scenario implemented process-style and callback-style replays to the
@@ -137,29 +137,11 @@ def test_nan_delay_error_message_mentions_finiteness():
 
 
 # ---------------------------------------------------------------------------
-# Timeout pooling: recycling must never be observable
+# Timeouts: one fire per issue, whoever waits on them
 # ---------------------------------------------------------------------------
 
 
-def test_pool_reuses_timeout_objects_across_process_yields():
-    env = Environment()
-    seen_ids = []
-
-    def proc(env):
-        for _ in range(4):
-            t = env.timeout(1.0)
-            seen_ids.append(id(t))
-            yield t
-
-    env.process(proc(env))
-    env.run()
-    # After the first yield completes, the object returns to the free list
-    # and the next env.timeout() hands it back: all later ids repeat.
-    assert len(set(seen_ids)) < len(seen_ids)
-
-
-def test_pooled_timeout_fires_exactly_once_per_issue():
-    """A recycled object must behave as a fresh event — one fire per issue."""
+def test_timeout_fires_exactly_once_per_issue():
     env = Environment()
     fired = []
 
@@ -175,9 +157,7 @@ def test_pooled_timeout_fires_exactly_once_per_issue():
     assert env.now == 5.0
 
 
-def test_pool_does_not_capture_multi_waiter_timeouts():
-    """A timeout with two waiters is not pool-eligible (a live reference
-    could observe the recycled object)."""
+def test_timeout_resumes_every_waiter():
     env = Environment()
     got = []
 
@@ -190,12 +170,10 @@ def test_pool_does_not_capture_multi_waiter_timeouts():
     env.process(waiter(env, shared, "w2"))
     env.run()
     assert sorted(got) == ["w1", "w2"]
-    assert env._timeout_pool == []  # two callbacks -> not recycled
-    # The shared object is still inspectable (processed, not resurrected).
     assert shared.processed
 
 
-def test_pool_does_not_capture_condition_members():
+def test_condition_over_timeouts_returns_member_values():
     env = Environment()
 
     def proc(env):
@@ -207,52 +185,20 @@ def test_pool_does_not_capture_condition_members():
     p = env.process(proc(env))
     env.run()
     assert p.value == ["t1", "t2"]
-    # Condition members carry an extra _check callback -> never pooled.
-    assert env._timeout_pool == []
 
 
-def test_unpooled_timeout_constructor_opts_out():
+def test_timeout_constructor_is_processed():
     from repro.simcore import Timeout
 
     env = Environment()
+    timeout = Timeout(env, 1.0)
 
     def proc(env):
-        yield Timeout(env, 1.0)
+        yield timeout
 
     env.process(proc(env))
     env.run()
-    assert env._timeout_pool == []
-
-
-def test_recycled_timeout_is_clean_on_reissue():
-    env = Environment()
-
-    def proc(env):
-        first = env.timeout(1.0, value="first")
-        yield first
-        second = env.timeout(1.0, value="second")
-        assert second._value == "second"
-        assert second.callbacks == []  # no stale callbacks from first life
-        got = yield second
-        return got
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == "second"
-
-
-def test_pool_is_bounded():
-    from repro.simcore import engine as engine_mod
-
-    env = Environment()
-
-    def sleeper(env):
-        yield env.timeout(1.0)
-
-    for _ in range(engine_mod._POOL_LIMIT + 200):
-        env.process(sleeper(env))
-    env.run()
-    assert len(env._timeout_pool) <= engine_mod._POOL_LIMIT
+    assert timeout.processed and env.now == 1.0
 
 
 # ---------------------------------------------------------------------------
