@@ -53,24 +53,25 @@ class DevicePriorityOpfTarget(OpfTarget):
             return
         # Latency-sensitive: route through the device's urgent class.
         sqe = pdu.sqe
+        op = sqe.op_name
         mapping = self.subsystem.resolve(sqe.nsid)
         qp = self._urgent_qpairs[id(mapping.device)]
-        nbytes = sqe.nlb * mapping.device.profile.block_size if sqe.op_name != OP_FLUSH else 0
+        nbytes = sqe.nlb * mapping.device.profile.block_size if op != OP_FLUSH else 0
         ctx = RequestContext(
             conn=conn,
             cid=sqe.cid,
-            op=sqe.op_name,
+            op=op,
             nbytes=nbytes,
             tenant_id=tenant_id,
             draining=False,
             group=None,
         )
         self.urgent_submissions += 1
-        if sqe.op_name == OP_FLUSH:
+        if op == OP_FLUSH:
             qp.flush(nsid=mapping.device_nsid, context=ctx)
         else:
             qp.submit(
-                sqe.op_name,
+                op,
                 nsid=mapping.device_nsid,
                 slba=sqe.slba,
                 nlb=sqe.nlb,

@@ -8,8 +8,7 @@ paper's implementation avoids copies (§IV-B).
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Any, List, Optional, Tuple
+from typing import Any, Sequence, Tuple
 
 #: Fixed per-frame wire overhead in bytes: Ethernet preamble+SFD (8), MAC
 #: header (14), FCS (4), inter-frame gap (12), IPv4 (20), TCP (20).
@@ -19,7 +18,10 @@ WIRE_OVERHEAD = 78
 #: jumbo frames; 8960 keeps one 4 KiB block + PDU header in a single segment.
 DEFAULT_MSS = 8960
 
-_packet_ids = count()
+#: The ``messages`` of every frame that completes no message (pure ACKs and
+#: most mid-message segments): one shared, immutable empty value instead of
+#: a fresh list per frame.
+NO_MESSAGES: Tuple[Tuple[int, Any], ...] = ()
 
 
 class Packet:
@@ -46,7 +48,6 @@ class Packet:
     """
 
     __slots__ = (
-        "id",
         "src",
         "dst",
         "conn_id",
@@ -55,7 +56,6 @@ class Packet:
         "length",
         "ack",
         "messages",
-        "sent_at",
         "retransmit",
         "wire_size",
         "deliver_at",
@@ -71,10 +71,9 @@ class Packet:
         seq: int = 0,
         length: int = 0,
         ack: int = 0,
-        messages: Optional[List[Tuple[int, Any]]] = None,
+        messages: Sequence[Tuple[int, Any]] = NO_MESSAGES,
         retransmit: bool = False,
     ) -> None:
-        self.id = next(_packet_ids)
         self.src = src
         self.dst = dst
         self.conn_id = conn_id
@@ -82,8 +81,7 @@ class Packet:
         self.seq = seq
         self.length = length
         self.ack = ack
-        self.messages = [] if messages is None else messages
-        self.sent_at = 0.0
+        self.messages = messages
         self.retransmit = retransmit
         #: Bytes this frame occupies on the wire, including all overheads —
         #: precomputed once (it is read several times per link traversal).
@@ -104,7 +102,7 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.is_data:
             return (
-                f"<Packet#{self.id} data {self.src}->{self.dst} conn={self.conn_id} "
+                f"<Packet data {self.src}->{self.dst} conn={self.conn_id} "
                 f"seq={self.seq} len={self.length}{' RTX' if self.retransmit else ''}>"
             )
-        return f"<Packet#{self.id} ack {self.src}->{self.dst} conn={self.conn_id} ack={self.ack}>"
+        return f"<Packet ack {self.src}->{self.dst} conn={self.conn_id} ack={self.ack}>"

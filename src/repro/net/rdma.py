@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ConfigError, NetworkError
 from .nic import Nic
-from .packet import Packet
+from .packet import NO_MESSAGES, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
@@ -128,7 +128,7 @@ class RdmaSocket:
                 seq=seq,
                 length=frame_len,
                 ack=offset,
-                messages=[(size, payload)] if last else [],
+                messages=[(size, payload)] if last else NO_MESSAGES,
             )
             # RoCE frames carry lighter headers than TCP segments.
             frame.retransmit = False

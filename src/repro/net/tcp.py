@@ -9,7 +9,10 @@ stalls).  This module implements a deliberately compact TCP:
 * slow start / congestion avoidance, fast retransmit on 3 dup-ACKs,
   RTO with exponential back-off and go-back-N recovery (Reno, no SACK),
 * message framing: senders enqueue (payload, size) messages; receivers get
-  each payload exactly once, in order, when its last byte arrives.
+  each payload exactly once, in order, when its last byte arrives.  New
+  segments are framed by a cursor over the unacked messages, retransmitted
+  ones by bisect; an in-order segment with nothing staged behind a hole is
+  delivered straight from the packet.
 
 Omissions (documented, deliberate): no three-way handshake or teardown
 (connections exist for the lifetime of a run, as qpairs do in the paper's
@@ -24,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, NetworkError
 from .nic import Nic
-from .packet import DEFAULT_MSS, Packet
+from .packet import DEFAULT_MSS, NO_MESSAGES, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
@@ -161,6 +164,8 @@ class TcpSocket:
         "_msg_ends",
         "_msg_payloads",
         "_msg_head",
+        "_tx_ix",
+        "_tx_seq",
         "_cwnd",
         "_ssthresh",
         "_dup_acks",
@@ -215,6 +220,13 @@ class TcpSocket:
         self._msg_ends: List[int] = []
         self._msg_payloads: List[Any] = []
         self._msg_head = 0
+        # In-order framing cursor: ``_tx_ix`` is the index of the first
+        # message ending after stream offset ``_tx_seq``.  ``_try_send``
+        # resumes from it when it starts at ``_tx_seq`` (the common case)
+        # and re-seeks with a bisect otherwise (after an RTO rewind, an ACK
+        # past the send point, or a compaction, which sets ``_tx_seq`` to -1).
+        self._tx_ix = 0
+        self._tx_seq = 0
         self._cwnd = float(cfg.init_cwnd_segments * cfg.mss)
         self._ssthresh = float(cfg.rwnd_bytes)
         self._dup_acks = 0
@@ -241,7 +253,7 @@ class TcpSocket:
         self._unacked_arrivals = 0
         self._ack_timer = _RestartableTimer(env, self._send_ack_now, f"{name}/dack")
 
-        nic.register_connection(conn_id, self._on_packet)
+        nic.register_connection(conn_id, self._on_data, self._on_ack)
 
     # ------------------------------------------------------------------ send --
     def send_message(self, payload: Any, size: int) -> None:
@@ -286,6 +298,15 @@ class TcpSocket:
             if rwnd < window:
                 window = rwnd
             limit = window + mss - 1
+            ends = self._msg_ends
+            payloads = self._msg_payloads
+            if snd_nxt == self._tx_seq:
+                ix = self._tx_ix
+            else:
+                ix = bisect_right(ends, snd_nxt, self._msg_head)
+            stats = self.stats
+            nic = self.nic
+            local, remote, conn_id = self.local_node, self.remote_node, self.conn_id
             while snd_nxt < buffered_end and snd_nxt - snd_una + mss <= limit:
                 # Allow a final short segment even if it slightly overshoots
                 # the window by less than one MSS (standard sender behaviour).
@@ -294,9 +315,37 @@ class TcpSocket:
                 size = buffered_end - snd_nxt
                 if size > mss:
                     size = mss
-                self._emit_segment(snd_nxt, size, False)
-                snd_nxt += size
+                seg_end = snd_nxt + size
+                # Frame the messages ending in (snd_nxt, seg_end].  Ends
+                # ascend strictly and the last one is buffered_end >= seg_end,
+                # so while a framed message ends short of seg_end a next
+                # message exists.
+                end = ends[ix]
+                if end > seg_end:
+                    messages = NO_MESSAGES
+                else:
+                    messages = [(end, payloads[ix])]
+                    ix += 1
+                    while end < seg_end:
+                        end = ends[ix]
+                        if end > seg_end:
+                            break
+                        messages.append((end, payloads[ix]))
+                        ix += 1
+                stats.segments_sent += 1
+                if self._rtt_seq is None:
+                    # Karn: time exactly one non-retransmitted segment at a time.
+                    self._rtt_seq = seg_end
+                    self._rtt_sent = self.env.now
+                # Positional construction: this and the ACK path are the two
+                # hottest allocation sites in the simulator.
+                nic.transmit(
+                    Packet(local, remote, conn_id, "data", snd_nxt, size, 0, messages, False)
+                )
+                snd_nxt = seg_end
             self._snd_nxt = snd_nxt
+            self._tx_seq = snd_nxt
+            self._tx_ix = ix
         if snd_nxt > self._snd_una and self._rto_timer._deadline is None:
             self._rto_timer.restart(self._rto)
 
@@ -311,37 +360,27 @@ class TcpSocket:
             return []
         return list(zip(ends[i:j], self._msg_payloads[i:j]))
 
-    def _emit_segment(self, seq: int, size: int, retransmit: bool) -> None:
-        # Positional Packet construction: this and the ACK path are the two
-        # hottest allocation sites in the simulator.
-        packet = Packet(
-            self.local_node,
-            self.remote_node,
-            self.conn_id,
-            "data",
-            seq,
-            size,
-            0,
-            self._segment_messages(seq, size),
-            retransmit,
-        )
+    def _emit_segment(self, seq: int, size: int) -> None:
+        """Retransmit the segment at ``seq``, framed by bisect (it is off
+        the in-order cursor)."""
         stats = self.stats
         stats.segments_sent += 1
-        if retransmit:
-            stats.retransmits += 1
-        elif self._rtt_seq is None:
-            # Karn: time exactly one non-retransmitted segment at a time.
-            self._rtt_seq = seq + size
-            self._rtt_sent = self.env.now
-        self.nic.transmit(packet)
+        stats.retransmits += 1
+        self.nic.transmit(
+            Packet(
+                self.local_node,
+                self.remote_node,
+                self.conn_id,
+                "data",
+                seq,
+                size,
+                0,
+                self._segment_messages(seq, size),
+                True,
+            )
+        )
 
     # ------------------------------------------------------------------- rx ---
-    def _on_packet(self, packet: Packet) -> None:
-        if packet.kind == "ack":
-            self._on_ack(packet.ack)
-        else:
-            self._on_data(packet)
-
     # -- sender side: ACK processing
     def _on_ack(self, ackno: int) -> None:
         cfg = self.config
@@ -365,9 +404,21 @@ class TcpSocket:
                     del self._msg_ends[:head]
                     del self._msg_payloads[:head]
                     self._msg_head = 0
-            # RTT sample (Karn-filtered).
-            if self._rtt_seq is not None and ackno >= self._rtt_seq:
-                self._rtt_update(self.env.now - self._rtt_sent)
+                    self._tx_seq = -1  # the framing cursor's index moved
+            # RTT sample (Karn-filtered), RFC 6298 smoothing.
+            rtt_seq = self._rtt_seq
+            if rtt_seq is not None and ackno >= rtt_seq:
+                sample = self.env.now - self._rtt_sent
+                srtt = self._srtt
+                if srtt is None:
+                    self._srtt = sample
+                    self._rttvar = sample / 2.0
+                else:
+                    err = srtt - sample
+                    if err < 0:
+                        err = -err
+                    self._rttvar = 0.75 * self._rttvar + 0.25 * err
+                    self._srtt = 0.875 * srtt + 0.125 * sample
                 self._rtt_seq = None
             if self._in_fast_recovery:
                 if ackno >= self._recover:
@@ -378,17 +429,23 @@ class TcpSocket:
                     self._emit_segment(
                         self._snd_una,
                         min(cfg.mss, self._buffered_end - self._snd_una),
-                        retransmit=True,
                     )
                     self._cwnd = max(float(cfg.mss), self._cwnd - flight_advance + cfg.mss)
             elif self._cwnd < self._ssthresh:
                 self._cwnd += cfg.mss  # slow start
             else:
                 self._cwnd += cfg.mss * cfg.mss / self._cwnd  # congestion avoidance
-            # Anything new acked: back-off resets, timer re-arms.
-            self._rto = max(cfg.min_rto_us, min(self._compute_rto(), cfg.max_rto_us))
+            # Anything new acked: back-off resets, timer re-arms.  The RTO is
+            # srtt + 4 * rttvar clamped to [min_rto_us, max_rto_us].
+            srtt = self._srtt
+            rto = cfg.min_rto_us if srtt is None else srtt + 4.0 * self._rttvar
+            if cfg.max_rto_us < rto:
+                rto = cfg.max_rto_us
+            if rto <= cfg.min_rto_us:
+                rto = cfg.min_rto_us
+            self._rto = rto
             if self._snd_nxt > ackno:
-                self._rto_timer.restart(self._rto)
+                self._rto_timer.restart(rto)
             else:
                 self._rto_timer.stop()
             self._try_send()
@@ -406,25 +463,11 @@ class TcpSocket:
                 self._emit_segment(
                     self._snd_una,
                     min(cfg.mss, self._buffered_end - self._snd_una),
-                    retransmit=True,
                 )
                 self._rto_timer.restart(self._rto)
             elif self._in_fast_recovery:
                 self._cwnd += cfg.mss  # window inflation
                 self._try_send()
-
-    def _rtt_update(self, sample: float) -> None:
-        if self._srtt is None:
-            self._srtt = sample
-            self._rttvar = sample / 2.0
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
-            self._srtt = 0.875 * self._srtt + 0.125 * sample
-
-    def _compute_rto(self) -> float:
-        if self._srtt is None:
-            return self.config.min_rto_us
-        return self._srtt + 4.0 * self._rttvar
 
     def _on_rto(self) -> None:
         if self.bytes_in_flight <= 0:
@@ -442,7 +485,6 @@ class TcpSocket:
         self._emit_segment(
             self._snd_una,
             min(cfg.mss, self._buffered_end - self._snd_una),
-            retransmit=True,
         )
         self._snd_nxt = self._snd_una + min(cfg.mss, self._buffered_end - self._snd_una)
         self._rto_timer.restart(self._rto)
@@ -454,18 +496,30 @@ class TcpSocket:
         rcv_nxt = self._rcv_nxt
         if seq == rcv_nxt:
             self._rcv_nxt = rcv_nxt + length
-            if packet.messages:
-                self._stash_messages(packet.messages)
-            # Merge any buffered out-of-order segments now contiguous.
             ooo = self._ooo
-            if ooo:
+            if ooo or self._pend_ends:
+                if packet.messages:
+                    self._stash_messages(packet.messages)
+                # Merge any buffered out-of-order segments now contiguous.
                 while self._rcv_nxt in ooo:
                     olen, omsgs = ooo.pop(self._rcv_nxt)
                     self._rcv_nxt += olen
                     if omsgs:
                         self._stash_messages(omsgs)
-            if self._pend_ends:
-                self._deliver_ready()
+                if self._pend_ends:
+                    self._deliver_ready()
+            else:
+                # Dominant case: nothing staged, no hole.  Every message in
+                # this segment ends inside it, in ascending order, so each
+                # is complete now: deliver straight from the segment.
+                stats = self.stats
+                for end, payload in packet.messages:
+                    if end > self._delivered_upto:
+                        self._delivered_upto = end
+                        stats.messages_delivered += 1
+                        stats.bytes_delivered = end
+                        if self.deliver is not None:
+                            self.deliver(payload)
             arrivals = self._unacked_arrivals + 1
             if arrivals >= cfg.ack_every or ooo:
                 self._send_ack_now()
@@ -513,21 +567,6 @@ class TcpSocket:
         if n == 0:
             return
         payloads = self._pend_payloads
-        if n == 1:
-            # Dominant case (one message ready per arrival): pop-then-deliver
-            # without building prefix copies.  Popping first keeps the same
-            # re-entrancy safety as the snapshot below.
-            end = ends[0]
-            payload = payloads[0]
-            del ends[0]
-            del payloads[0]
-            self._delivered_upto = end
-            stats = self.stats
-            stats.messages_delivered += 1
-            stats.bytes_delivered = end
-            if self.deliver is not None:
-                self.deliver(payload)
-            return
         ready_ends = ends[:n]
         ready_payloads = payloads[:n]
         del ends[:n]

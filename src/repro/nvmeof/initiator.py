@@ -208,7 +208,8 @@ class NvmeOfInitiator:
             # deferred (resent wholesale once the handshake completes).
             if self.retry_policy is None or not self._ever_connected:
                 raise ProtocolError(f"initiator {self.name!r} is not connected")
-        priority = Priority.parse(priority)
+        if type(priority) is not Priority:
+            priority = Priority.parse(priority)
         request = self.qpair.allocate(
             op=op,
             nsid=nsid,

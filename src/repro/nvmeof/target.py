@@ -238,23 +238,24 @@ class NvmeOfTarget:
         group: Any = None,
     ) -> None:
         sqe = pdu.sqe
+        op = sqe.op_name
         mapping = self.subsystem.resolve(sqe.nsid)
         qp = self._device_qpairs[id(mapping.device)]
-        nbytes = sqe.nlb * mapping.device.profile.block_size if sqe.op_name != OP_FLUSH else 0
+        nbytes = sqe.nlb * mapping.device.profile.block_size if op != OP_FLUSH else 0
         ctx = RequestContext(
             conn=conn,
             cid=sqe.cid,
-            op=sqe.op_name,
+            op=op,
             nbytes=nbytes,
             tenant_id=tenant_id,
             draining=draining,
             group=group,
         )
-        if sqe.op_name == OP_FLUSH:
+        if op == OP_FLUSH:
             qp.flush(nsid=mapping.device_nsid, context=ctx)
         else:
             qp.submit(
-                sqe.op_name,
+                op,
                 nsid=mapping.device_nsid,
                 slba=sqe.slba,
                 nlb=sqe.nlb,
@@ -280,15 +281,14 @@ class NvmeOfTarget:
         specs: List[tuple] = []
         for conn, pdu in members:
             sqe = pdu.sqe
+            op = sqe.op_name
             mapping = self.subsystem.resolve(sqe.nsid)
             qp = self._device_qpairs[id(mapping.device)]
-            nbytes = (
-                sqe.nlb * mapping.device.profile.block_size if sqe.op_name != OP_FLUSH else 0
-            )
+            nbytes = sqe.nlb * mapping.device.profile.block_size if op != OP_FLUSH else 0
             ctx = RequestContext(
                 conn=conn,
                 cid=sqe.cid,
-                op=sqe.op_name,
+                op=op,
                 nbytes=nbytes,
                 tenant_id=tenant_id,
                 draining=False,
@@ -299,10 +299,10 @@ class NvmeOfTarget:
                 run_qp.submit_batch(specs)
                 specs = []
             run_qp = qp
-            if sqe.op_name == OP_FLUSH:
+            if op == OP_FLUSH:
                 specs.append((OP_FLUSH, mapping.device_nsid, 0, 1, ctx))
             else:
-                specs.append((sqe.op_name, mapping.device_nsid, sqe.slba, sqe.nlb, ctx))
+                specs.append((op, mapping.device_nsid, sqe.slba, sqe.nlb, ctx))
         if specs:
             assert run_qp is not None
             run_qp.submit_batch(specs)

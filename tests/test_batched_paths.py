@@ -223,7 +223,7 @@ def _make_socket():
             self._handlers = {}
             self.sent = []
 
-        def register_connection(self, conn_id, handler):
+        def register_connection(self, conn_id, handler, on_ack=None):
             self._handlers[conn_id] = handler
 
         def transmit(self, packet):
@@ -282,3 +282,33 @@ def test_sender_framing_survives_compaction_boundary():
     assert sock.stats.messages_sent == 2000
     # Everything acked: framing arrays fully pruned.
     assert sock._segment_messages(0, 40000) == []
+
+
+def test_cursor_framing_matches_bisect_under_acks_and_rewinds():
+    # New segments are framed by the in-order cursor; every one must carry
+    # exactly the messages the bisect framing gives for its byte range,
+    # across partial ACKs, ACKs past the send point, RTO rewinds and
+    # storage compaction.
+    import random
+
+    rng = random.Random(7)
+    _env, nic, sock = _make_socket()
+    mss = sock.config.mss
+    checked = 0
+    for _step in range(4000):
+        first = len(nic.sent)
+        action = rng.random()
+        if action < 0.5:
+            sock.send_message(object(), rng.choice((1, 24, 72, 4120, mss, 3 * mss + 5)))
+        elif action < 0.9 and sock._snd_nxt > sock._snd_una:
+            sock._on_ack(rng.randint(sock._snd_una + 1, sock._snd_nxt))
+        elif action < 0.95 and sock._buffered_end > sock._snd_nxt:
+            # A cumulative ACK past the rewound send point.
+            sock._on_ack(rng.randint(sock._snd_nxt + 1, sock._buffered_end))
+        elif sock._snd_nxt > sock._snd_una:
+            sock._on_rto()
+        for packet in nic.sent[first:]:
+            assert list(packet.messages) == sock._segment_messages(packet.seq, packet.length)
+            checked += 1
+    assert checked > 1000
+    assert sock.stats.timeouts > 0
