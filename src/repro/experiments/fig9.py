@@ -132,7 +132,7 @@ def run_h5bench_cluster(
 
     results: List[H5BenchRankResult] = [k.result for k in kernels if k.result is not None]
     bandwidth = aggregate_bandwidth_mbps(results)
-    pooled = collector.combined_latency(None)
+    pooled = collector.totals().all_latency
     mean_lat = pooled.mean() if len(pooled) else 0.0
     return bandwidth, mean_lat
 

@@ -1,6 +1,6 @@
 """Measurement: collectors, percentiles, event counters, report tables."""
 
-from .collector import Collector, InitiatorSummary
+from .collector import Collector, InitiatorSummary, WindowTotals
 from .events import EventCounter
 from .export import read_csv, rows_for, to_row, write_csv, write_json
 from .percentile import LatencyDistribution, P2Quantile, exact_percentile
@@ -20,6 +20,7 @@ __all__ = [
     "InitiatorSummary",
     "LatencyDistribution",
     "P2Quantile",
+    "WindowTotals",
     "exact_percentile",
     "format_table",
     "improvement_pct",

@@ -56,6 +56,21 @@ class InitiatorSummary:
         return iops_from(self.requests, elapsed_us)
 
 
+@dataclass
+class WindowTotals:
+    """Aggregates across initiators over the measurement window."""
+
+    elapsed_us: float
+    #: Per-initiator summaries, name-sorted (see :meth:`Collector.summaries`).
+    summaries: Dict[str, InitiatorSummary]
+    tc_throughput_mbps: float = 0.0
+    tc_iops: float = 0.0
+    total_throughput_mbps: float = 0.0
+    #: Pooled latencies of the latency-sensitive initiators, and of all.
+    ls_latency: LatencyDistribution = field(default_factory=LatencyDistribution)
+    all_latency: LatencyDistribution = field(default_factory=LatencyDistribution)
+
+
 class Collector:
     """Run-wide measurement sink with a lazily applied window."""
 
@@ -154,9 +169,8 @@ class Collector:
 
     def summaries(self) -> Dict[str, InitiatorSummary]:
         # Canonical (name-sorted) iteration, not first-completion order:
-        # every cross-initiator float reduction downstream (aggregate rates,
-        # pooled percentiles) sums in this order, and the golden digests pin
-        # the resulting bits.
+        # every cross-initiator float reduction (:meth:`totals`) sums in this
+        # order, and the golden digests pin the resulting bits.
         out = {}
         for name in sorted(self._records):
             summary = self.summary(name)
@@ -164,33 +178,24 @@ class Collector:
                 out[name] = summary
         return out
 
-    def by_priority(self, priority: Priority) -> List[InitiatorSummary]:
-        return [s for s in self.summaries().values() if s.priority is priority]
+    def totals(self) -> WindowTotals:
+        """Every cross-initiator aggregate, from one :meth:`summaries` pass.
 
-    def aggregate_throughput_mbps(self, priority: Optional[Priority] = None) -> float:
-        """Sum of throughput across initiators (optionally one class)."""
+        Rates sum and latencies pool in the summaries' name-sorted order,
+        so the float results are the same bits on every run.
+        """
         elapsed = self.elapsed_us()
-        total = 0.0
-        for s in self.summaries().values():
-            if priority is None or s.priority is priority:
-                total += s.throughput_mbps(elapsed)
-        return total
-
-    def aggregate_iops(self, priority: Optional[Priority] = None) -> float:
-        elapsed = self.elapsed_us()
-        total = 0.0
-        for s in self.summaries().values():
-            if priority is None or s.priority is priority:
-                total += s.iops(elapsed)
-        return total
-
-    def combined_latency(self, priority: Optional[Priority] = None) -> LatencyDistribution:
-        """Pooled latency distribution across matching initiators."""
-        pooled = LatencyDistribution()
-        for name in sorted(self._records):  # canonical order; see summaries()
-            if priority is not None and self._priorities.get(name) is not priority:
-                continue
-            pooled.extend(
-                r.latency for r in self._records[name] if self._in_window(r)
-            )
-        return pooled
+        summaries = self.summaries()
+        totals = WindowTotals(elapsed_us=elapsed, summaries=summaries)
+        ls_latency = totals.ls_latency
+        all_latency = totals.all_latency
+        for summary in summaries.values():
+            mbps = summary.throughput_mbps(elapsed)
+            totals.total_throughput_mbps += mbps
+            if summary.priority is Priority.THROUGHPUT:
+                totals.tc_throughput_mbps += mbps
+                totals.tc_iops += summary.iops(elapsed)
+            elif summary.priority is Priority.LATENCY:
+                ls_latency.extend(summary.latency)
+            all_latency.extend(summary.latency)
+        return totals

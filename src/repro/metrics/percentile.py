@@ -9,7 +9,7 @@ exact computation.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -125,6 +125,9 @@ class LatencyDistribution:
 
     def __len__(self) -> int:
         return len(self._samples)
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._samples)
 
     @property
     def samples(self) -> List[float]:

@@ -111,7 +111,11 @@ def test_collector_records_and_aggregates():
     assert summary.requests == 2
     assert summary.bytes_moved == 8192
     assert collector.elapsed_us() == pytest.approx(15.0)
-    assert collector.aggregate_iops() > 0
+    totals = collector.totals()
+    assert totals.elapsed_us == pytest.approx(15.0)
+    assert list(totals.summaries) == ["a"]
+    assert totals.total_throughput_mbps == pytest.approx(summary.throughput_mbps(15.0))
+    assert len(totals.all_latency) == 2
 
 
 def test_collector_warmup_exclusion():
@@ -154,12 +158,20 @@ def test_collector_priority_classes():
     collector = Collector(env)
     collector.record("ls", make_request(priority=Priority.LATENCY, completed=5.0))
     collector.record("tc", make_request(cid=1, priority=Priority.THROUGHPUT, completed=5.0))
+    collector.record("tc", make_request(cid=2, priority=Priority.THROUGHPUT, completed=6.0))
     env.run(until=10.0)
-    ls = collector.by_priority(Priority.LATENCY)
-    assert len(ls) == 1 and ls[0].name == "ls"
-    assert collector.aggregate_throughput_mbps(Priority.THROUGHPUT) > 0
-    pooled = collector.combined_latency(Priority.LATENCY)
-    assert len(pooled) == 1
+    totals = collector.totals()
+    assert [s.priority for s in totals.summaries.values()] == [
+        Priority.LATENCY,
+        Priority.THROUGHPUT,
+    ]
+    tc = totals.summaries["tc"]
+    assert totals.tc_throughput_mbps == tc.throughput_mbps(10.0) > 0
+    assert totals.tc_iops == tc.iops(10.0)
+    assert totals.total_throughput_mbps == pytest.approx(
+        tc.throughput_mbps(10.0) + totals.summaries["ls"].throughput_mbps(10.0)
+    )
+    assert len(totals.ls_latency) == 1 and len(totals.all_latency) == 3
 
 
 def test_collector_counts_failures():
