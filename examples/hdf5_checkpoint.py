@@ -6,79 +6,59 @@ one HDF5 file on disaggregated storage.  Bulk checkpoint data is tagged
 throughput-critical; the rank-0 metadata updates (superblock, object
 headers) are latency-sensitive and bypass the batch traffic.
 
-The script runs the same job against the baseline runtime and NVMe-oPF
-and reports checkpoint bandwidth and metadata-operation latency.
+Each rank is one scenario tenant whose workload is an h5bench kernel
+(``Scenario.add_tenant(..., workload=...)``), so the scenario runs until
+every rank has written its last checkpoint.  The script runs the same job
+against the baseline runtime and NVMe-oPF and reports checkpoint bandwidth.
 
 Run:  python examples/hdf5_checkpoint.py
 """
 
-from repro.cluster.node import InitiatorNode, TargetNode
-from repro.config import network_tuning, preset_for_network
-from repro.hdf5sim import Communicator, H5File, SimRank, VolConnector
-from repro.metrics import Collector, format_table
-from repro.net import Fabric
-from repro.simcore import Environment, RandomStreams
+from repro import Scenario, ScenarioConfig
+from repro.core.flags import Priority
+from repro.hdf5sim import Communicator, H5File
+from repro.metrics import format_table
+from repro.workloads import TenantSpec
+from repro.workloads.h5bench import H5BenchConfig, H5BenchKernel, aggregate_bandwidth_mbps
 
 N_RANKS = 8
-PARTICLES_PER_RANK = 32 * 1024  # 256 KiB per checkpoint per rank
-CHECKPOINTS = 3
-COMPUTE_US = 500.0  # simulated compute between checkpoints
+CHECKPOINT = H5BenchConfig(
+    mode="write",
+    particles_per_rank=32 * 1024,  # 256 KiB per checkpoint per rank
+    timesteps=3,  # checkpoints
+    compute_us=500.0,  # simulated compute between checkpoints
+    queue_depth=32,
+)
 NETWORK_GBPS = 100.0
 
 
 def run(protocol: str):
-    env = Environment()
-    streams = RandomStreams(21)
-    tuning = network_tuning(NETWORK_GBPS)
-    preset = preset_for_network(NETWORK_GBPS)
-    fabric = Fabric(env, rate_gbps=NETWORK_GBPS,
-                    propagation_us=tuning.propagation_us,
-                    queue_packets=tuning.queue_packets)
-    target = TargetNode(env, "storage", fabric, streams,
-                        protocol=protocol, ssd_profile=preset.ssd)
-    host = InitiatorNode(env, "compute", fabric)
-    collector = Collector(env)
+    scenario = Scenario(ScenarioConfig(
+        protocol=protocol, network_gbps=NETWORK_GBPS, op_mix="write",
+        window_size=16, warmup_us=0.0, seed=21,
+    ))
+    storage = scenario.add_target_node("storage")
+    host = scenario.add_initiator_node("compute")
+    comm = Communicator(scenario.env, N_RANKS)
 
-    comm = Communicator(env, N_RANKS)
-    vols, metadata_latencies = [], []
-    connect_events = []
+    def rank_kernel(rank):
+        def build(initiator):
+            h5file = H5File(f"ckpt-rank{rank}.h5", base_lba=rank * (1 << 14),
+                            capacity_blocks=1 << 14)
+            return H5BenchKernel(scenario.env, CHECKPOINT, initiator, h5file,
+                                 comm, rank=rank)
+        return build
+
     for rank in range(N_RANKS):
-        initiator = host.add_initiator(
-            f"rank{rank}", target, protocol=protocol,
-            queue_depth=64, collector=collector, window_size=16,
-        )
-        connect_events.append(initiator.connect())
-        h5file = H5File(f"ckpt-rank{rank}.h5", base_lba=rank * (1 << 14),
-                        capacity_blocks=1 << 14)
-        h5file.create_dataset("particles", PARTICLES_PER_RANK, element_size=8)
-        vols.append(VolConnector(env, initiator, h5file))
+        spec = TenantSpec(f"rank{rank}", Priority.THROUGHPUT, 64, "write")
+        scenario.add_tenant(spec, host, storage, workload=rank_kernel(rank))
+    result = scenario.run()
 
-    def rank_body(sim_rank):
-        vol = vols[sim_rank.rank]
-        dataset = vol.h5file.dataset("particles")
-        for _ckpt in range(CHECKPOINTS):
-            yield env.timeout(COMPUTE_US)
-            if sim_rank.rank == 0:
-                meta = vol.update_metadata()  # latency-sensitive
-                yield meta.completion_event(env)
-                metadata_latencies.append(meta.latency)
-            yield from vol.write_elements(dataset, 0, PARTICLES_PER_RANK,
-                                          queue_depth=32)
-            yield sim_rank.comm.barrier()
-
-    env.run(until=env.all_of(connect_events))
-    start = env.now
-    ranks = [SimRank(env, r, comm, rank_body) for r in range(N_RANKS)]
-    env.run(until=env.all_of([r.done for r in ranks]))
-    makespan = env.now - start
-    env.run()
-
-    total_bytes = sum(vol.bytes_written for vol in vols)
+    ranks = [scenario.generators_by_name[f"rank{r}"].result for r in range(N_RANKS)]
     return {
-        "bandwidth_mbps": total_bytes / makespan,
-        "makespan_ms": makespan / 1000.0,
-        "meta_mean_us": sum(metadata_latencies) / len(metadata_latencies),
-        "notifications": target.target.stats.completion_notifications,
+        "bandwidth_mbps": aggregate_bandwidth_mbps(ranks),
+        "makespan_ms": max(r.elapsed_us for r in ranks) / 1000.0,
+        "notifications": result.completion_notifications,
     }
 
 
@@ -88,12 +68,11 @@ def main() -> None:
     rows = [
         ["checkpoint bandwidth (MB/s)", spdk["bandwidth_mbps"], opf["bandwidth_mbps"]],
         ["job makespan (ms)", spdk["makespan_ms"], opf["makespan_ms"]],
-        ["metadata op latency (us)", spdk["meta_mean_us"], opf["meta_mean_us"]],
         ["completion notifications", spdk["notifications"], opf["notifications"]],
     ]
     print(format_table(
         ["metric", "SPDK (baseline)", "NVMe-oPF"], rows,
-        title=f"{N_RANKS}-rank HDF5 checkpointing, {CHECKPOINTS} checkpoints",
+        title=f"{N_RANKS}-rank HDF5 checkpointing, {CHECKPOINT.timesteps} checkpoints",
     ))
     speedup = spdk["makespan_ms"] / opf["makespan_ms"]
     print(f"\nNVMe-oPF finishes the checkpoint phase {speedup:.2f}x faster while the "

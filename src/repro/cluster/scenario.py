@@ -1,10 +1,11 @@
 """Declarative experiment scenarios.
 
 A :class:`Scenario` assembles a fabric, target nodes, initiator nodes, and
-perf workloads from a :class:`ScenarioConfig`, runs the simulation, and
-returns a :class:`ScenarioResult` with the figures' metrics: aggregate
-throughput-critical throughput, latency-sensitive p99.99 tail latency,
-completion-notification counts, and congestion counters.
+tenant workloads (perf by default) from a :class:`ScenarioConfig`, runs the
+simulation, and returns a :class:`ScenarioResult` with the figures'
+metrics: aggregate throughput-critical throughput, latency-sensitive
+p99.99 tail latency, completion-notification counts, and congestion
+counters.
 
 Measurement protocol: throughput-critical tenants run a fixed op quota;
 latency-sensitive tenants run open-ended and are stopped when the last TC
@@ -43,8 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import Injector
     from ..faults.recovery import RetryPolicy
     from ..faults.schedule import FaultSchedule
+    from ..nvmeof.initiator import NvmeOfInitiator
 
 _HUGE_OPS = 10**9  # effectively unbounded quota for open-ended LS tenants
+
+#: A tenant's workload factory, called with the tenant's initiator.  The
+#: workload has ``start()`` and a ``done`` event (an open-ended LS workload
+#: also needs ``stop()``); see :meth:`Scenario.add_tenant`.
+WorkloadFactory = Callable[["NvmeOfInitiator"], object]
 
 
 def _start_generator(gen: "PerfGenerator") -> None:
@@ -245,15 +252,6 @@ class ScenarioResult:
     #: Canonical injector trace ("" when the scenario ran without chaos).
     fault_trace: str = ""
 
-    def summary_row(self) -> List[object]:
-        return [
-            self.protocol,
-            f"{self.network_gbps:g}G",
-            self.op_mix,
-            self.tc_throughput_mbps,
-            self.ls_tail_us if self.ls_tail_us is not None else float("nan"),
-        ]
-
     def metrics_digest(self) -> str:
         """Canonical rendering of every metric in the result.
 
@@ -337,7 +335,9 @@ class Scenario:
         self.target_nodes: List[TargetNode] = []
         self.initiator_nodes: Dict[str, InitiatorNode] = {}
         self.generators: List[PerfGenerator] = []
-        self._tenant_assignments: List[Tuple[TenantSpec, InitiatorNode, TargetNode, int]] = []
+        self._tenant_assignments: List[
+            Tuple[TenantSpec, InitiatorNode, TargetNode, int, Optional[WorkloadFactory]]
+        ] = []
         self.injector: Optional["Injector"] = None
         self.qos_controller: Optional[QosController] = None
         #: Scripted callbacks fired at workload-relative times (scenario
@@ -393,11 +393,24 @@ class Scenario:
         initiator_node: InitiatorNode,
         target_node: TargetNode,
         nsid: int = 1,
+        workload: Optional[WorkloadFactory] = None,
     ) -> None:
-        """Declare one tenant; instantiated (with workload) at run()."""
-        if any(s.name == spec.name for s, _i, _t, _n in self._tenant_assignments):
+        """Declare one tenant; instantiated (with workload) at run().
+
+        ``workload`` builds the tenant's workload from its initiator; None
+        builds the :class:`PerfGenerator` the spec describes.  A factory's
+        workload counts toward the quota barrier by its ``done`` event,
+        which need only exist once ``start()`` has run, so such a tenant
+        cannot start late.
+        """
+        if any(s.name == spec.name for s, _i, _t, _n, _w in self._tenant_assignments):
             raise ConfigError(f"duplicate tenant name {spec.name!r}")
-        self._tenant_assignments.append((spec, initiator_node, target_node, nsid))
+        if workload is not None and spec.start_delay_us > 0.0:
+            raise ConfigError(
+                f"tenant {spec.name!r} has a workload factory; it starts with "
+                f"the workload (start_delay_us must be 0)"
+            )
+        self._tenant_assignments.append((spec, initiator_node, target_node, nsid, workload))
 
     def at_workload_time(self, delay_us: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn()`` at ``delay_us`` after the workload starts.
@@ -532,7 +545,7 @@ class Scenario:
         slo_set = SloSet(cfg.slos)
         if cfg.qos_enabled:
             qos_hub = TelemetryHub()
-            declared = {spec.name for spec, _i, _t, _n in self._tenant_assignments}
+            declared = {spec.name for spec, _i, _t, _n, _w in self._tenant_assignments}
             for slo in slo_set:
                 if slo.tenant not in declared:
                     raise ConfigError(
@@ -542,7 +555,7 @@ class Scenario:
 
         # Instantiate initiators + workloads.
         connect_events = []
-        for spec, inode, tnode, nsid in self._tenant_assignments:
+        for spec, inode, tnode, nsid, workload in self._tenant_assignments:
             initiator = inode.add_initiator(
                 spec.name,
                 tnode,
@@ -579,28 +592,31 @@ class Scenario:
                 )
             connect_events.append(initiator.connect())
             is_ls = spec.priority is Priority.LATENCY
-            if spec.total_ops is not None:
-                total = spec.total_ops
-            elif is_ls:
-                total = cfg.ls_total_ops if cfg.ls_total_ops is not None else _HUGE_OPS
+            if workload is not None:
+                gen = workload(initiator)
             else:
-                total = cfg.total_ops
-            perf_cfg = PerfConfig(
-                op_mix=spec.op_mix,
-                io_size=cfg.io_size,
-                queue_depth=spec.queue_depth,
-                total_ops=total,
-                pattern=cfg.pattern,
-                priority=spec.priority,
-                nsid=nsid,
-            )
-            gen = PerfGenerator(
-                env,
-                initiator,
-                perf_cfg,
-                rng=self.streams.stream(f"workload/{spec.name}"),
-                namespace_blocks=cfg.namespace_blocks,
-            )
+                if spec.total_ops is not None:
+                    total = spec.total_ops
+                elif is_ls:
+                    total = cfg.ls_total_ops if cfg.ls_total_ops is not None else _HUGE_OPS
+                else:
+                    total = cfg.total_ops
+                perf_cfg = PerfConfig(
+                    op_mix=spec.op_mix,
+                    io_size=cfg.io_size,
+                    queue_depth=spec.queue_depth,
+                    total_ops=total,
+                    pattern=cfg.pattern,
+                    priority=spec.priority,
+                    nsid=nsid,
+                )
+                gen = PerfGenerator(
+                    env,
+                    initiator,
+                    perf_cfg,
+                    rng=self.streams.stream(f"workload/{spec.name}"),
+                    namespace_blocks=cfg.namespace_blocks,
+                )
             (self._ls_generators if is_ls else self._tc_generators).append(gen)
             self.generators.append(gen)
             self.generators_by_name[spec.name] = gen
@@ -635,7 +651,7 @@ class Scenario:
             self.injector.start()
         if self.qos_controller is not None:
             self.qos_controller.start()
-        for gen, (spec, _i, _t, _n) in zip(self.generators, self._tenant_assignments):
+        for gen, (spec, _i, _t, _n, _w) in zip(self.generators, self._tenant_assignments):
             delay = spec.start_delay_us
             if delay > 0.0:
                 # Staged arrival (e.g. a mid-run TC burst): the generator's
@@ -743,7 +759,7 @@ class Scenario:
         )
         tc_names = [
             spec.name
-            for spec, _inode, _tnode, _nsid in self._tenant_assignments
+            for spec, _inode, _tnode, _nsid, _workload in self._tenant_assignments
             if spec.priority is Priority.THROUGHPUT
         ]
         tc_shares = [per_tenant[name][0] for name in tc_names if name in per_tenant]

@@ -107,13 +107,15 @@ class SharedQueueOpfTarget(OpfTarget):
         )
         self.pm.stats.record_flush(group.size)
         self._group_fifo.setdefault(drain_tenant, []).append(group)
-        n_device = sum(1 for _c, p in mine if not self._is_drain_marker(p))
+        members, markers = self._split_drain_markers(mine)
         cost = (
-            self.costs.nvme_submit * n_device
+            self.costs.nvme_submit * len(members)
             + self.lock_cost * len(batch)
             + self._tenant_switch_cost(drain_tenant)
         )
-        self.core.run_later(cost, self._execute_batch_args, (group, mine), label="tc_flush_shared")
+        self.core.run_later(
+            cost, self._execute_batch_args, (group, members, markers), label="tc_flush_shared"
+        )
 
         # Other tenants' windows were flushed early: each of their requests
         # executes now but must be answered individually (group=None), so
@@ -134,7 +136,3 @@ class SharedQueueOpfTarget(OpfTarget):
     def stalled_requests(self) -> int:
         """Requests stuck in overflow (live-lock indicator)."""
         return len(self._overflow)
-
-    @property
-    def shared_queue_depth_now(self) -> int:
-        return len(self._shared)

@@ -14,19 +14,19 @@ Extends the baseline target with the target-side Priority Manager:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from ..nvmeof.capsule import Cqe
+from ..nvmeof.capsule import OPCODE_FLUSH, Cqe
 from ..nvmeof.pdu import C2HDataPdu, CapsuleCmdPdu, CapsuleRespPdu, IcReqPdu
 from ..nvmeof.target import NvmeOfTarget, RequestContext, TargetConnection
-from ..ssd.latency import OP_FLUSH, OP_READ
+from ..ssd.latency import OP_READ
 from .coalescing import DrainGroup
 from .flags import FLAG_DRAINING, Priority
 from .priority_manager import TargetPriorityManager
 from .tenant import TenantRegistry
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
+#: A window's commands, in arrival order.
+_Batch = List[Tuple[TargetConnection, CapsuleCmdPdu]]
 
 
 class OpfTarget(NvmeOfTarget):
@@ -94,33 +94,32 @@ class OpfTarget(NvmeOfTarget):
         self._group_fifo.setdefault(group.tenant_id, []).append(group)
         # Batch execution: one tenant switch for the whole window, one
         # device doorbell per member.
-        n_device = sum(1 for _c, p in batch if not self._is_drain_marker(p))
-        cost = self.costs.nvme_submit * n_device + self._tenant_switch_cost(group.tenant_id)
-        self.core.run_later(cost, self._execute_batch_args, (group, batch), label="tc_flush")
+        members, markers = self._split_drain_markers(batch)
+        cost = self.costs.nvme_submit * len(members) + self._tenant_switch_cost(group.tenant_id)
+        self.core.run_later(
+            cost, self._execute_batch_args, (group, members, markers), label="tc_flush"
+        )
 
-    def _execute_batch_args(
-        self, args: "Tuple[DrainGroup, List[Tuple[TargetConnection, CapsuleCmdPdu]]]"
-    ) -> None:
+    def _execute_batch_args(self, args: "Tuple[DrainGroup, _Batch, _Batch]") -> None:
         self._execute_batch(*args)
 
     @staticmethod
-    def _is_drain_marker(pdu: CapsuleCmdPdu) -> bool:
-        """An explicit drain (flush + DRAINING) is consumed by the PM."""
-        sqe = pdu.sqe
-        return sqe.op_name == OP_FLUSH and bool(sqe.rsvd_priority & FLAG_DRAINING)
+    def _split_drain_markers(batch: "_Batch") -> "Tuple[_Batch, _Batch]":
+        """Split a window into device members and drain markers, in order.
 
-    def _execute_batch(
-        self,
-        group: DrainGroup,
-        batch: List[Tuple[TargetConnection, CapsuleCmdPdu]],
-    ) -> None:
-        markers: List[Tuple[TargetConnection, CapsuleCmdPdu]] = []
-        members: List[Tuple[TargetConnection, CapsuleCmdPdu]] = []
-        for conn, pdu in batch:
-            if self._is_drain_marker(pdu):
-                markers.append((conn, pdu))
+        An explicit drain (flush + DRAINING) is consumed by the PM and never
+        reaches the device."""
+        members: _Batch = []
+        markers: _Batch = []
+        for item in batch:
+            sqe = item[1].sqe
+            if sqe.opcode == OPCODE_FLUSH and sqe.rsvd_priority & FLAG_DRAINING:
+                markers.append(item)
             else:
-                members.append((conn, pdu))
+                members.append(item)
+        return members, markers
+
+    def _execute_batch(self, group: DrainGroup, members: "_Batch", markers: "_Batch") -> None:
         if members:
             # One doorbell per consecutive same-device run instead of one
             # per member; submission order (and so CID/draw/seq order) is

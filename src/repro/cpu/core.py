@@ -116,11 +116,6 @@ class CpuCore:
 
     # -- accounting --------------------------------------------------------------
     @property
-    def available_at(self) -> float:
-        """Earliest time the core can start new work."""
-        return max(self._avail_at, self.env.now)
-
-    @property
     def backlog(self) -> float:
         """Queued work (microseconds) not yet executed."""
         return max(0.0, self._avail_at - self.env.now)

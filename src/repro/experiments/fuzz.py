@@ -59,9 +59,6 @@ class FuzzResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def failing_seeds(self) -> List[int]:
-        return [f.seed for f in self.failures]
-
 
 def run_fuzz(
     n_programs: int = 500,

@@ -1,8 +1,8 @@
-"""Simplified HDF5 substrate: files, datasets, VOL connector, MPI ranks."""
+"""Simplified HDF5 substrate: files, datasets, VOL connector, MPI barrier."""
 
 from .dataset import Dataset, Extent
 from .file import H5File, METADATA_BLOCKS
-from .mpi import Communicator, SimRank, spawn_ranks
+from .mpi import Communicator
 from .vol import VolConnector
 
 __all__ = [
@@ -11,7 +11,5 @@ __all__ = [
     "Extent",
     "H5File",
     "METADATA_BLOCKS",
-    "SimRank",
     "VolConnector",
-    "spawn_ranks",
 ]

@@ -1,21 +1,22 @@
-"""Simulated MPI ranks and barriers.
+"""Simulated MPI barrier.
 
 h5bench runs one HDF5 writer/reader per MPI rank; the paper hosts one
-fabric initiator per rank.  :class:`Communicator` provides the only
-collective the kernels need — a barrier — implemented over simulation
-events (all ranks arrive, everyone releases).
+fabric initiator per rank.  A rank is a plain simulation process (see
+:meth:`repro.workloads.h5bench.H5BenchKernel.start`).
+:class:`Communicator` provides the only collective the kernels need — a
+barrier — implemented over simulation events (all ranks arrive, everyone
+releases).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigError
 from ..simcore.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.engine import Environment
-    from ..simcore.process import Process
 
 
 class Communicator:
@@ -45,36 +46,3 @@ class Communicator:
             self.barriers_completed += 1
             release.succeed(self.barriers_completed)
         return release
-
-
-class SimRank:
-    """One simulated MPI rank running a generator body."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        rank: int,
-        comm: Communicator,
-        body: Callable[["SimRank"], Generator],
-        name: Optional[str] = None,
-    ) -> None:
-        self.env = env
-        self.rank = rank
-        self.comm = comm
-        self.name = name or f"rank{rank}"
-        self.process: "Process" = env.process(body(self), name=self.name)
-
-    @property
-    def done(self) -> "Process":
-        """The process doubles as the rank's completion event."""
-        return self.process
-
-
-def spawn_ranks(
-    env: "Environment",
-    n_ranks: int,
-    body: Callable[[SimRank], Generator],
-) -> List[SimRank]:
-    """Create a communicator and start ``n_ranks`` processes over it."""
-    comm = Communicator(env, n_ranks)
-    return [SimRank(env, rank, comm, body) for rank in range(n_ranks)]

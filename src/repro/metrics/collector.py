@@ -112,10 +112,6 @@ class Collector:
         self._measure_from = fallback_start
         return True
 
-    @property
-    def measuring_since(self) -> float:
-        return self._measure_from
-
     def elapsed_us(self) -> float:
         """Length of the measurement window so far."""
         end = self._measure_until if self._measure_until is not None else self.env.now

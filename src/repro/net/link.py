@@ -46,11 +46,6 @@ class LinkStats:
         self.ack_packets = 0
         self.busy_time = 0.0
 
-    @property
-    def drop_rate(self) -> float:
-        total = self.enqueued + self.dropped
-        return self.dropped / total if total else 0.0
-
 
 class Link:
     """Unidirectional serialising link with a droptail packet queue."""

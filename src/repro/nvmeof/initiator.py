@@ -177,10 +177,6 @@ class NvmeOfInitiator:
     def outstanding(self) -> int:
         return self.qpair.outstanding
 
-    @property
-    def can_submit(self) -> bool:
-        return self._connected and self.qpair.has_capacity
-
     # -- I/O submission -----------------------------------------------------------
     def read(self, slba: int, nlb: int = 1, nsid: int = 1, **kw: Any) -> IoRequest:
         return self.submit(OP_READ, slba=slba, nlb=nlb, nsid=nsid, **kw)

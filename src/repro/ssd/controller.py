@@ -111,11 +111,6 @@ class NvmeController:
         """Commands executing on channels right now."""
         return self.profile.channels - self._free_channels
 
-    @property
-    def dispatch_depth(self) -> int:
-        """Commands fetched but waiting for a channel."""
-        return len(self._dispatch) + len(self._dispatch_urgent)
-
     # -- arbitration -----------------------------------------------------------
     def _on_doorbell(self) -> None:
         self._arbitrate()

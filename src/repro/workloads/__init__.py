@@ -10,19 +10,14 @@ from .mixes import (
 )
 from .patterns import AddressPattern, RANDOM, SEQUENTIAL
 from .perf import READ, RW50, WRITE, PerfConfig, PerfGenerator
-from .phased import DEFAULT_PHASES, PhaseResult, PhaseSpec, PhasedGenerator
 from .replay import TraceRecordEntry, TraceReplayer, load_trace, save_trace, synthesize_trace
 
 __all__ = [
     "AddressPattern",
-    "DEFAULT_PHASES",
     "LS_QUEUE_DEPTH",
     "PAPER_RATIOS",
     "PerfConfig",
     "PerfGenerator",
-    "PhaseResult",
-    "PhaseSpec",
-    "PhasedGenerator",
     "RANDOM",
     "READ",
     "RW50",

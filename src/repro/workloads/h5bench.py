@@ -18,13 +18,14 @@ from typing import TYPE_CHECKING, Generator, List, Optional
 
 from ..errors import WorkloadError
 from ..hdf5sim.file import H5File
-from ..hdf5sim.mpi import Communicator, SimRank
+from ..hdf5sim.mpi import Communicator
 from ..hdf5sim.vol import VolConnector
 from ..units import BLOCK_4K
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nvmeof.initiator import NvmeOfInitiator
     from ..simcore.engine import Environment
+    from ..simcore.process import Process
 
 H5_WRITE = "write"
 H5_READ = "read"
@@ -74,7 +75,11 @@ class H5BenchRankResult:
 
 
 class H5BenchKernel:
-    """One rank's kernel body, bound to an initiator + file."""
+    """One rank's kernel, bound to an initiator + file.
+
+    A scenario workload: :meth:`start` spawns the rank process, which is
+    also :attr:`done`.
+    """
 
     def __init__(
         self,
@@ -105,8 +110,14 @@ class H5BenchKernel:
             "particles", config.particles_per_rank, config.element_size
         )
         self.result: Optional[H5BenchRankResult] = None
+        self.done: Optional["Process"] = None
 
-    def body(self, sim_rank: SimRank) -> Generator:
+    def start(self) -> "Process":
+        """Spawn the rank process (:meth:`body`); it doubles as :attr:`done`."""
+        self.done = self.env.process(self.body(), name=f"h5rank{self.rank}")
+        return self.done
+
+    def body(self) -> Generator:
         """The rank process: timesteps of I/O separated by barriers."""
         cfg = self.config
         env = self.env

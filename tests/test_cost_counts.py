@@ -44,8 +44,8 @@ SLICE_EVENTS = 64
 #: cell -> (heap entries, repro Python calls) at seed 1.
 PINS = {
     "fig7-spdk": (3559, 35148),
-    "fig7-nvme-opf": (2717, 35085),
-    "session-qos-guard": (9986, 146551),
+    "fig7-nvme-opf": (2717, 33869),
+    "session-qos-guard": (9986, 143543),
 }
 
 

@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro import Scenario, ScenarioConfig
 from repro.cluster.node import InitiatorNode, TargetNode
-from repro.hdf5sim import Communicator, H5File, SimRank
+from repro.core.flags import Priority
+from repro.errors import ConfigError, SimulationError
+from repro.hdf5sim import Communicator, H5File
 from repro.net import Fabric
 from repro.simcore import Environment, RandomStreams
+from repro.workloads import TenantSpec
 from repro.workloads.h5bench import H5BenchConfig, H5BenchKernel, aggregate_bandwidth_mbps
+
+SMALL = dict(particles_per_rank=4096, timesteps=2, compute_us=10.0, queue_depth=32)
 
 
 def make_cluster(n_ranks=2, protocol="nvme-opf", config=None):
@@ -15,10 +21,7 @@ def make_cluster(n_ranks=2, protocol="nvme-opf", config=None):
     tnode = TargetNode(env, "t0", fabric, RandomStreams(19), protocol=protocol)
     inode = InitiatorNode(env, "c0", fabric)
     comm = Communicator(env, n_ranks)
-    cfg = config or H5BenchConfig(
-        mode="write", particles_per_rank=4096, timesteps=2,
-        compute_us=10.0, dataset_load_us=50.0, queue_depth=32,
-    )
+    cfg = config or H5BenchConfig(mode="write", dataset_load_us=50.0, **SMALL)
     kernels = []
     connects = []
     for rank in range(n_ranks):
@@ -33,8 +36,8 @@ def make_cluster(n_ranks=2, protocol="nvme-opf", config=None):
                           metadata_rank=(rank == 0))
         )
     env.run(until=env.all_of(connects))
-    ranks = [SimRank(env, k.rank, comm, k.body) for k in kernels]
-    env.run(until=env.all_of([r.done for r in ranks]))
+    ranks = [k.start() for k in kernels]
+    env.run(until=env.all_of(ranks))
     env.run()
     return env, kernels, tnode
 
@@ -91,3 +94,50 @@ def test_kernel_coalesces_on_opf_target():
     assert tnode.target.stats.coalesced_notifications > 0
     # Metadata writes were latency-sensitive bypasses.
     assert tnode.target.pm.ls_bypassed >= 2
+
+
+def test_start_spawns_the_rank_process_as_done():
+    env, kernels, _ = make_cluster(n_ranks=1)
+    kernel = kernels[0]
+    assert kernel.done is not None and kernel.done.triggered
+    assert kernel.done.value is kernel.result
+
+
+# -- kernels as scenario workloads ---------------------------------------------------
+def _rank_scenario(comm_size, start_delay_us=0.0):
+    """One h5bench rank tenant on a Scenario, over a communicator of
+    ``comm_size`` ranks."""
+    scenario = Scenario(ScenarioConfig(protocol="nvme-opf", op_mix="write", warmup_us=0.0))
+    comm = Communicator(scenario.env, comm_size)
+    cfg = H5BenchConfig(mode="write", **SMALL)
+
+    def build(initiator):
+        h5file = H5File("r0.h5", base_lba=0, capacity_blocks=4096)
+        return H5BenchKernel(scenario.env, cfg, initiator, h5file, comm, rank=0)
+
+    spec = TenantSpec("rank0", Priority.THROUGHPUT, cfg.queue_depth, "write",
+                      start_delay_us=start_delay_us)
+    scenario.add_tenant(spec, scenario.add_initiator_node(), scenario.add_target_node(),
+                        workload=build)
+    return scenario
+
+
+def test_kernel_workload_runs_to_the_quota_barrier():
+    scenario = _rank_scenario(comm_size=1)
+    result = scenario.run()
+    kernel = scenario.generators_by_name["rank0"]
+    assert kernel.result.bytes_moved == 4096 * 8 * 2
+    assert result.goodput_ops > 0 and result.failed_ops == 0
+
+
+def test_rank_stuck_at_a_barrier_fails_the_quota_barrier():
+    # The communicator waits for a second rank that never exists, so the
+    # rank's done event never fires and the queue drains first.
+    scenario = _rank_scenario(comm_size=2)
+    with pytest.raises(SimulationError, match="quota barrier"):
+        scenario.run()
+
+
+def test_factory_tenant_cannot_start_late():
+    with pytest.raises(ConfigError, match="start_delay_us"):
+        _rank_scenario(comm_size=1, start_delay_us=100.0)

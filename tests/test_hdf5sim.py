@@ -1,9 +1,9 @@
-"""Tests for the HDF5 substrate: files, datasets, VOL, MPI ranks."""
+"""Tests for the HDF5 substrate: files, datasets, VOL, MPI barrier."""
 
 import pytest
 
 from repro.errors import ConfigError, Hdf5Error
-from repro.hdf5sim import Communicator, Dataset, H5File, METADATA_BLOCKS, SimRank, spawn_ranks
+from repro.hdf5sim import Communicator, Dataset, H5File, METADATA_BLOCKS
 from repro.simcore import Environment
 
 
@@ -100,12 +100,13 @@ def test_barrier_releases_all_ranks_together():
     comm = Communicator(env, 3)
     times = []
 
-    def body(rank_obj):
-        yield rank_obj.env.timeout(rank_obj.rank * 10.0)  # stagger arrivals
-        yield rank_obj.comm.barrier()
-        times.append((rank_obj.rank, rank_obj.env.now))
+    def body(rank):
+        yield env.timeout(rank * 10.0)  # stagger arrivals
+        yield comm.barrier()
+        times.append((rank, env.now))
 
-    _ranks = [SimRank(env, i, comm, body) for i in range(3)]
+    for i in range(3):
+        env.process(body(i))
     env.run()
     assert all(t == 20.0 for _, t in times)  # all released at the last arrival
 
@@ -115,30 +116,31 @@ def test_barrier_reusable_across_timesteps():
     comm = Communicator(env, 2)
     log = []
 
-    def body(rank_obj):
+    def body(rank):
         for ts in range(3):
-            yield rank_obj.env.timeout(1.0 + rank_obj.rank)
-            yield rank_obj.comm.barrier()
-            log.append((ts, rank_obj.rank))
+            yield env.timeout(1.0 + rank)
+            yield comm.barrier()
+            log.append((ts, rank))
 
     for i in range(2):
-        SimRank(env, i, comm, body)
+        env.process(body(i))
     env.run()
     assert comm.barriers_completed == 3
     # Within each timestep both ranks are released before the next begins.
     assert log == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
-def test_spawn_ranks():
+def test_rank_processes_return_their_values():
     env = Environment()
+    comm = Communicator(env, 4)
 
-    def body(rank_obj):
-        yield rank_obj.comm.barrier()
-        return rank_obj.rank
+    def body(rank):
+        yield comm.barrier()
+        return rank
 
-    ranks = spawn_ranks(env, 4, body)
+    ranks = [env.process(body(r)) for r in range(4)]
     env.run()
-    assert [r.done.value for r in ranks] == [0, 1, 2, 3]
+    assert [r.value for r in ranks] == [0, 1, 2, 3]
 
 
 def test_communicator_validation():

@@ -256,7 +256,7 @@ def test_shared_queue_livelock_when_windows_exceed_depth():
     connect_events = []
     from repro.workloads.perf import PerfConfig, PerfGenerator
 
-    for spec, inode, t, nsid in sc._tenant_assignments:
+    for spec, inode, t, _nsid, _workload in sc._tenant_assignments:
         initiator = inode.add_initiator(
             spec.name, t, protocol="nvme-opf", queue_depth=spec.queue_depth,
             collector=sc.collector, window_size=32, allow_lock=True,
